@@ -42,8 +42,8 @@ from .twirl import (
     lui_coefficients,
     lui_density,
     mc_local_twirl,
-    overlap_coefficient,
     product_lui,
+    swap_overlaps,
 )
 from .fisher import (
     FisherResult,

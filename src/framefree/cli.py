@@ -63,7 +63,7 @@ def _probe_lui(probe: str, n: int, theta: float) -> twirl.LuiState:
     return twirl.product_lui(n, theta)
 
 
-def _scan_value(strategy: str, probe: str, n: int, theta: float, step: float) -> float:
+def _scan_value(strategy: str, probe: str, n: int, theta: float) -> float:
     if strategy == "qfi_re":
         return fisher.qfi_ghz_closed(n, theta) if probe == "ghz" else fisher.qfi_product_closed(n, theta)
     if strategy == "qfi_ie":
@@ -79,7 +79,7 @@ def _scan_value(strategy: str, probe: str, n: int, theta: float, step: float) ->
         return measure.cfi_grm_from_overlap(s, ds, n)
     coeffs, dcoeffs, second = _probe_coeffs(probe, n, theta)
     if strategy == "cfi_lst":
-        return measure.cfi_lst_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second)
+        return fisher.fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second)[0]
     if strategy == "cfi_lbm":
         return measure.cfi_lbm_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -105,14 +105,13 @@ def run_scan(cfg: dict) -> dict:
             raise ValueError(f"unknown strategy {s!r}; choose from {SCAN_STRATEGIES}")
     if not strategies:
         raise ValueError("no strategies requested")
-    step = float(cfg["step"])
     grid = np.linspace(lo, hi, points)
     out = Path(cfg["out"])
     with open(out, "w", newline="") as fh:
         fh.write("theta," + ",".join(strategies) + "\n")
         for theta in grid:
             row = [f"{theta:.12g}"]
-            row += [f"{_scan_value(s, probe, n, float(theta), step):.12g}" for s in strategies]
+            row += [f"{_scan_value(s, probe, n, float(theta)):.12g}" for s in strategies]
             fh.write(",".join(row) + "\n")
     meta = {
         "probe": probe,
@@ -121,7 +120,6 @@ def run_scan(cfg: dict) -> dict:
         "theta_min": lo,
         "theta_max": hi,
         "theta_points": points,
-        "step": step,
         "seed": int(cfg["seed"]),
         "f_max": 2.0 * n * n,
         "sql": 2.0 * n,
@@ -334,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--theta-max", type=float, dest="theta_max")
     scan.add_argument("--theta-points", type=int, dest="theta_points")
     scan.add_argument("--strategies")
-    scan.add_argument("--step", type=float)
     scan.add_argument("--seed", type=int)
     scan.add_argument("--out")
     scan.add_argument("--config")
@@ -370,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _SCAN_DEFAULTS = {
     "probe": "ghz", "sites": 2, "theta_min": 0.0, "theta_max": math.pi / 2,
-    "theta_points": 101, "strategies": "qfi_re,cfi_lbm,cfi_dm", "step": 1e-5,
+    "theta_points": 101, "strategies": "qfi_re,cfi_lbm,cfi_dm",
     "seed": DEFAULT_SEED, "out": "scan.csv",
 }
 _VERIFY_DEFAULTS = {"suite": "no_go", "seed": DEFAULT_SEED, "out": None}

@@ -2,8 +2,10 @@
 
 Two routes are provided and cross-checked everywhere: the coefficient route
 (a signed sum over swap-mask overlaps and their theta derivatives) and the
-spectrum route (eigenvalue perturbation of the dense invariant state).  Both
-exclude terms whose denominator vanishes; closed forms are available for
+spectrum route (eigenvalue perturbation of the dense invariant state).  The
+spectrum route excludes vanishing eigenvalues; the coefficient route takes a
+family whose signed sum and its derivative both vanish at its continuous
+limit, twice the exact second derivative.  Closed forms are available for
 the GHZ and product probes and for one-site / m-site encodings on probes
 that factorize between encoded and unencoded sites.
 """
@@ -14,16 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import IE, RE, EncodedPair
-from .tensor import hamming
-from .twirl import (
-    LuiState,
-    global_overlap,
-    global_overlap_derivative,
-    lui_coefficient_derivatives,
-    lui_coefficients,
-    overlap_coefficient,
-    overlap_derivative,
-)
+from .tensor import WALSH_KERNEL, popcounts, subset_transform
+from .twirl import LuiState, swap_overlaps
 
 DEFAULT_STEP = 1e-5
 DENOM_FLOOR = 1e-10
@@ -50,38 +44,15 @@ class FisherResult:
     dropped: tuple = field(default_factory=tuple)
 
 
-def walsh_transform(values) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform: out[b] = sum_a (-1)^(popcount(a&b)) v[a]."""
-    out = np.array(values, dtype=float, copy=True)
-    n = out.size
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:].copy()
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(n)
-        h *= 2
-    return out
-
-
 def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
     """Eigenvalues of the dense invariant state, indexed by the mask of
     antisymmetric sites, with combinatorial degeneracies."""
     n, d = lui.n_sites, lui.layout.local_dim
-    signed = walsh_transform(lui.coeffs)
-    sym_deg = d * (d + 1) // 2
-    asym_deg = d * (d - 1) // 2
-    base = 1.0 / (d * d - 1.0) ** n
-    entries = []
-    for b in range(1 << n):
-        k = hamming(b)
-        lam = base * ((d - 1.0) / d) ** (n - k) * ((d + 1.0) / d) ** k * signed[b]
-        entries.append(SpectrumEntry(b, float(lam), sym_deg ** (n - k) * asym_deg**k))
-    return entries
+    lam = subset_transform(lui.coeffs, [[1.0 / (d * (d + 1)), 1.0 / (d * (d + 1))],
+                                        [1.0 / (d * (d - 1)), -1.0 / (d * (d - 1))]])
+    k = popcounts(n)
+    deg = (d * (d + 1) // 2) ** (n - k) * (d * (d - 1) // 2) ** k
+    return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(1 << n)]
 
 
 def _ratio_sum(den, num, *, denom_floor=DENOM_FLOOR, second_derivs=None):
@@ -118,42 +89,41 @@ def _ratio_sum(den, num, *, denom_floor=DENOM_FLOOR, second_derivs=None):
 def fisher_from_coefficients(coeffs, dcoeffs, *, denom_floor=DENOM_FLOOR, second_dcoeffs=None):
     """Information of the invariant state from overlap coefficients and their
     derivatives: (1/2^N) times the ratio sum over all signed coefficient sums."""
-    den = walsh_transform(coeffs)
-    num = walsh_transform(dcoeffs)
-    second = None if second_dcoeffs is None else walsh_transform(second_dcoeffs)
+    den = subset_transform(coeffs, WALSH_KERNEL)
+    num = subset_transform(dcoeffs, WALSH_KERNEL)
+    second = None if second_dcoeffs is None else subset_transform(second_dcoeffs, WALSH_KERNEL)
     total, dropped = _ratio_sum(den, num, denom_floor=denom_floor, second_derivs=second)
     return total / len(den), dropped
 
 
-def _coeffs_and_derivative(pair_fn, theta: float, step: float):
-    pair = pair_fn(theta)
-    coeffs = lui_coefficients(pair).coeffs
-    if step == 0.0:
-        dcoeffs = lui_coefficient_derivatives(pair)
-    elif step > 0.0:
-        cp = lui_coefficients(pair_fn(theta + step)).coeffs
-        cm = lui_coefficients(pair_fn(theta - step)).coeffs
-        dcoeffs = (cp - cm) / (2.0 * step)
-    else:
+def _overlap_series(pair_fn, theta: float, step: float):
+    """The pair at theta with c, c' and the exact c'' of every swap mask;
+    c' by central differences of c when step > 0."""
+    if step < 0.0:
         raise ValueError("step must be positive, or 0 for the exact derivative")
-    return pair, coeffs, dcoeffs
+    pair = pair_fn(theta)
+    series = swap_overlaps(pair)
+    if step > 0.0:
+        series[1] = (swap_overlaps(pair_fn(theta + step), 0)[0]
+                     - swap_overlaps(pair_fn(theta - step), 0)[0]) / (2.0 * step)
+    return pair, series
 
 
 def qfi_re_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
     """Information of the locally twirled reversed-encoding state."""
-    pair, coeffs, dcoeffs = _coeffs_and_derivative(pair_fn, theta, step)
+    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
     if pair.mode != RE:
         raise ValueError("qfi_re_general expects reversed-encoding pairs")
-    value, dropped = fisher_from_coefficients(coeffs, dcoeffs)
+    value, dropped = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
     return FisherResult(theta, value, "re_general", step, dropped)
 
 
 def qfi_ie_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
     """Information of the locally twirled identical-encoding state (purity terms)."""
-    pair, coeffs, dcoeffs = _coeffs_and_derivative(pair_fn, theta, step)
+    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
     if pair.mode != IE:
         raise ValueError("qfi_ie_general expects identical-encoding pairs")
-    value, dropped = fisher_from_coefficients(coeffs, dcoeffs)
+    value, dropped = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
     return FisherResult(theta, value, "ie_general", step, dropped)
 
 
@@ -180,9 +150,8 @@ def qfi_from_spectrum(spectrum_fn, theta: float, step: float = DEFAULT_STEP,
 def f0(psi0, h) -> float:
     """Information ceiling of the untwirled two-copy pure product:
     8 * variance of the generator in the probe."""
-    mat = h.dense_matrix()
     amps = psi0.amplitudes
-    h_psi = mat @ amps
+    h_psi = h.apply(amps)
     mean = np.vdot(amps, h_psi).real
     second = np.vdot(h_psi, h_psi).real
     return float(8.0 * (second - mean * mean))
@@ -224,17 +193,9 @@ def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     support = pair.hamiltonian.support
     if support == 0:
         raise ValueError("the generator has empty support")
-    masks = _submasks(support)
-    coeffs = np.array([overlap_coefficient(pair, m) for m in masks])
-    if step == 0.0:
-        dcoeffs = np.array([overlap_derivative(pair, m) for m in masks])
-    else:
-        up = pair.at(pair.theta + step)
-        dn = pair.at(pair.theta - step)
-        cu = np.array([overlap_coefficient(up, m) for m in masks])
-        cd = np.array([overlap_coefficient(dn, m) for m in masks])
-        dcoeffs = (cu - cd) / (2.0 * step)
-    value, _ = fisher_from_coefficients(coeffs, dcoeffs)
+    _, series = _overlap_series(pair.at, pair.theta, step)
+    c, dc, ddc = series[:, _submasks(support)]
+    value, _ = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
     return float(value)
 
 
@@ -260,20 +221,9 @@ def qfi_gui_ghz_closed(n: int, theta: float) -> float:
 def qfi_gui_re(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     """Information of the globally twirled reversed-encoding state:
     (ds)^2 / (1 - s^2) with the stationary point resolved to the untwirled
-    ceiling."""
+    ceiling.  This is the global swap test's information."""
+    from .measure import cfi_gst  # measure builds on this module
+
     if pair.mode != RE:
         raise ValueError("qfi_gui_re expects reversed-encoding pairs")
-    s = global_overlap(pair)
-    if step == 0.0:
-        ds = global_overlap_derivative(pair)
-    elif step > 0.0:
-        ds = (global_overlap(pair.at(pair.theta + step))
-              - global_overlap(pair.at(pair.theta - step))) / (2.0 * step)
-    else:
-        raise ValueError("step must be positive, or 0 for the exact derivative")
-    denom = 1.0 - s * s
-    if denom < EIGENVALUE_FLOOR:
-        if abs(ds) >= math.sqrt(EIGENVALUE_FLOOR):
-            raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
-        return f0(pair.initial, pair.hamiltonian)
-    return float(ds * ds / denom)
+    return cfi_gst(pair, step)

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import DEFAULT_STEP, f0, fisher_from_coefficients, walsh_transform
+from .fisher import DEFAULT_STEP, f0
 from .states import EncodedPair
-from .tensor import hamming
+from .tensor import WALSH_KERNEL, hamming, popcounts, subset_transform
 from .twirl import LuiState, global_overlap, global_overlap_derivative
 
 PROB_FLOOR = 1e-14
 PROB_ATOL = -1e-12
 PROB_SUM_ATOL = 1e-9
+OVERLAP_FLOOR = 1e-12
 
 DM = "dm"
 GRM = "grm"
@@ -79,19 +80,11 @@ def probs_dm(lui: LuiState) -> OutcomeDistribution:
     """Both-copy computational-basis readout after the local twirl, grouped
     by the mask of sites whose two copies coincide."""
     n, d = lui.n_sites, lui.layout.local_dim
-    masks = np.arange(1 << n)
-    pc = np.array([hamming(int(m)) for m in masks])
-    base = 1.0 / (d * d - 1.0) ** n
-    probs = np.empty(1 << n)
-    mult = np.empty(1 << n, dtype=np.int64)
-    for m in masks:
-        outside = np.bitwise_and(masks, ~m)
-        signed = np.sum(lui.coeffs * (-1.0 / d) ** pc[outside])
-        k = hamming(int(m))
-        probs[m] = base * ((d - 1.0) / d) ** k * signed
-        mult[m] = d**n * (d - 1) ** (n - k)
-    labels = tuple(f"coincide:{int(m):0{n}b}" for m in masks)
-    return OutcomeDistribution(labels, probs * mult, lui.theta, DM, multiplicity=mult)
+    probs = subset_transform(lui.coeffs, [[d / (d + 1.0), -1.0 / (d + 1.0)],
+                                          [1.0 / (d + 1.0), 1.0 / (d + 1.0)]])
+    mult = d**n * (d - 1) ** (n - popcounts(n))
+    labels = tuple(f"coincide:{m:0{n}b}" for m in range(1 << n))
+    return OutcomeDistribution(labels, probs, lui.theta, DM, multiplicity=mult)
 
 
 def cfi_dm_from_overlap(s: float, ds: float, n_sites: int, local_dim: int = 2) -> float:
@@ -133,12 +126,15 @@ def probs_gst(pair: EncodedPair) -> OutcomeDistribution:
 
 
 def cfi_gst_from_overlap(s: float, ds: float, limit: float | None = None) -> float:
+    """(ds)^2 / (1 - s^2), or `limit` (the information at the stationary
+    point) once 1 - s^2 falls under the floor.  There (ds)^2 is at most about
+    limit * (1 - s^2); a derivative beyond twice that scale is inconsistent."""
     denom = 1.0 - s * s
-    if denom < 1e-12:
-        if abs(ds) >= 1e-6:
-            raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
+    if denom < OVERLAP_FLOOR:
         if limit is None:
             raise RuntimeError("stationary overlap: supply the small-angle limit")
+        if ds * ds > 2.0 * limit * OVERLAP_FLOOR:
+            raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
         return limit
     return ds * ds / denom
 
@@ -165,7 +161,7 @@ def _overlap_and_derivative(pair: EncodedPair, step: float):
 def probs_lst(lui: LuiState) -> OutcomeDistribution:
     """Per-site ancilla bitstring probabilities of the local swap test."""
     n = lui.n_sites
-    p = walsh_transform(lui.coeffs) / (1 << n)
+    p = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << n)
     if p.min() < -1e-10:
         raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
     labels = tuple(f"ancilla:{b:0{n}b}" for b in range(1 << n))
@@ -178,17 +174,12 @@ def probs_lbm(lui: LuiState) -> OutcomeDistribution:
     if lui.layout.local_dim != 2:
         raise ValueError("Bell readout is defined for qubits")
     n = lui.n_sites
-    class_probs = walsh_transform(lui.coeffs) / (1 << n)
+    class_probs = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << n)
     if class_probs.min() < -1e-10:
         raise RuntimeError(f"inconsistent coefficients: probability {class_probs.min()}")
-    mult = np.array([3 ** (n - hamming(b)) for b in range(1 << n)], dtype=np.int64)
+    mult = 3 ** (n - popcounts(n))
     labels = tuple(f"singlet:{b:0{n}b}" for b in range(1 << n))
     return OutcomeDistribution(labels, class_probs, lui.theta, LBM, multiplicity=mult)
-
-
-def cfi_lst_from_coefficients(coeffs, dcoeffs, second_dcoeffs=None) -> float:
-    value, _ = fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second_dcoeffs)
-    return float(value)
 
 
 def cfi_lbm_from_coefficients(coeffs, dcoeffs, second_dcoeffs=None) -> float:
@@ -197,9 +188,10 @@ def cfi_lbm_from_coefficients(coeffs, dcoeffs, second_dcoeffs=None) -> float:
     unchanged."""
     n_classes = len(np.asarray(coeffs))
     n = n_classes.bit_length() - 1
-    class_p = walsh_transform(coeffs) / n_classes
-    class_dp = walsh_transform(dcoeffs) / n_classes
-    second = None if second_dcoeffs is None else walsh_transform(second_dcoeffs) / n_classes
+    class_p = subset_transform(coeffs, WALSH_KERNEL) / n_classes
+    class_dp = subset_transform(dcoeffs, WALSH_KERNEL) / n_classes
+    second = (None if second_dcoeffs is None
+              else subset_transform(second_dcoeffs, WALSH_KERNEL) / n_classes)
     total = 0.0
     for b in range(n_classes):
         mult = 3 ** (n - hamming(b))

@@ -85,6 +85,13 @@ class HamiltonianSpec:
     def dense_matrix(self) -> np.ndarray:
         return np.diag(self.z_diagonal().astype(complex)) if self.is_z_sum else self.matrix
 
+    def apply(self, vecs: np.ndarray) -> np.ndarray:
+        """The generator applied along the last axis of `vecs`; Z sums act
+        as a diagonal multiply."""
+        if self.is_z_sum:
+            return vecs * self.z_diagonal()
+        return vecs @ self.matrix.T
+
 
 @dataclass(eq=False)
 class EncodedPair:

@@ -48,6 +48,35 @@ def hamming(mask: int) -> int:
     return mask.bit_count()
 
 
+def popcounts(n_bits: int) -> np.ndarray:
+    """Number of set bits of every mask below 2^n_bits, indexed by mask."""
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(n_bits):
+        table = np.concatenate([table, table + 1])
+    return table
+
+
+WALSH_KERNEL = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def subset_transform(values, kernel) -> np.ndarray:
+    """Kronecker-kernel transform over bit-masks:
+    out[b] = sum_a prod_i kernel[b_i][a_i] * values[a].
+
+    Yates' algorithm: one batched 2x2 product per bit, O(N 2^N) in all.
+    """
+    out = np.array(values, dtype=float)
+    size = out.size
+    if size == 0 or size & (size - 1):
+        raise ValueError("length must be a power of two")
+    k = np.asarray(kernel, dtype=float)
+    h = 1
+    while h < size:
+        out = (k @ out.reshape(-1, 2, h)).reshape(size)
+        h *= 2
+    return out
+
+
 @dataclass(frozen=True)
 class QuditLayout:
     """Register geometry: N sites of local dimension d, with k copies."""

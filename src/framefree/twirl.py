@@ -19,16 +19,14 @@ from .tensor import (
     DensityOperator,
     QuditLayout,
     haar_unitary,
-    hamming,
     is_unitary,
     kron,
     local_unitary,
-    ptrace_matrix,
+    popcounts,
+    subset_transform,
     swap_operator,
-    trace_product,
 )
 
-IMAG_TOL = 1e-10
 COEFF_RANGE_TOL = 1e-10
 
 
@@ -67,81 +65,65 @@ class GuiState:
             raise ValueError(f"swap expectation {self.s_global} outside [0, 1]")
 
 
-def _reduced(mat: np.ndarray, layout: QuditLayout, site_mask: int) -> np.ndarray:
-    return ptrace_matrix(mat, layout.local_dim, layout.n_sites, site_mask)
+def _pair_blocks(product: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Rows (i, j) of a (k*size)^2 product of derivative-stacked matrices:
+    its (i, j) block of size x size, flattened."""
+    return product.reshape(k, size, k, size).transpose(0, 2, 1, 3).reshape(k * k, -1)
 
 
-def overlap_coefficient(pair: EncodedPair, site_mask: int) -> float:
-    """Tr(rho_{+,a} rho_{-,a}) for the site mask a; the empty mask gives 1."""
-    n = pair.layout.n_sites
-    if site_mask < 0 or site_mask >= (1 << n):
-        raise ValueError(f"site mask {site_mask:#x} out of range for {n} sites")
-    if site_mask == 0:
-        return 1.0
-    rho_p = np.outer(pair.psi_plus.amplitudes, pair.psi_plus.amplitudes.conj())
-    rho_m = np.outer(pair.psi_minus.amplitudes, pair.psi_minus.amplitudes.conj())
-    val = trace_product(_reduced(rho_p, pair.layout, site_mask),
-                        _reduced(rho_m, pair.layout, site_mask))
-    if abs(val.imag) > IMAG_TOL:
-        raise RuntimeError(f"overlap coefficient has imaginary part {val.imag}")
-    return float(val.real)
+def swap_overlaps(pair: EncodedPair, order: int = 2) -> np.ndarray:
+    """Overlaps c_a = Tr(rho_{+,a} rho_{-,a}) for every site mask a and
+    their first `order` exact theta derivatives: row k holds d^k c / dtheta^k.
+
+    Works on the amplitudes.  Per mask each copy is a (kept x traced) matrix
+    M, and c = Tr(M+ M+^H M- M-^H) is contracted over the smaller side:
+    Tr(rho+ rho-) of the reduced densities M M^H when the kept side is
+    smaller, ||M-^H M+||^2 otherwise.  The derivatives of M are stacked so
+    that one matrix product per mask gives every derivative pair.
+    """
+    lay = pair.layout
+    n, d = lay.n_sites, lay.local_dim
+    # the k-th theta derivative of exp(-i theta H) psi is (-iH)^k of it;
+    # copy B's phase runs backwards under reversed encoding
+    phase = np.array([[-1j], [-1j if pair.mode == IE else 1j]])
+    series = [np.stack([pair.psi_plus.amplitudes, pair.psi_minus.amplitudes])]
+    for _ in range(order):
+        series.append(phase * pair.hamiltonian.apply(series[-1]))
+    k = order + 1
+    plus, minus = np.stack(series, axis=1).reshape((2, k) + (d,) * n)
+    # Leibniz rule over derivative pairs: leibniz[r, i*k + j] = C(r, i) if i + j = r
+    leibniz = np.array([[math.comb(r, i) if i + j == r else 0 for i in range(k) for j in range(k)]
+                        for r in range(k)], dtype=float)
+    out = np.zeros((k, 1 << n))
+    out[0, 0] = 1.0
+    for mask in range(1, 1 << n):
+        # behind the derivative axis, site s sits on tensor axis n - s
+        kept = [n - s for s in range(n) if (mask >> s) & 1]
+        traced = [n - s for s in range(n) if not (mask >> s) & 1]
+        dk, dt = d ** len(kept), d ** len(traced)
+        if dk < dt:
+            # rows (derivative, kept), columns traced
+            p = plus.transpose([0] + kept + traced).reshape(k * dk, dt)
+            m = minus.transpose([0] + kept + traced).reshape(k * dk, dt)
+            left = leibniz @ _pair_blocks(p @ p.conj().T, k, dk)
+            right = leibniz @ _pair_blocks(m @ m.conj().T, k, dk)
+        else:
+            # rows kept, columns (derivative, traced)
+            p = plus.transpose(kept + [0] + traced).reshape(dk, k * dt)
+            m = minus.transpose(kept + [0] + traced).reshape(dk, k * dt)
+            left = right = leibniz @ _pair_blocks(m.conj().T @ p, k, dt)
+        # derivatives of the inner product <right, left>, by the same rule
+        out[:, mask] = (leibniz @ (right.conj() @ left.T).ravel()).real
+    bad = np.flatnonzero((out[0] < -COEFF_RANGE_TOL) | (out[0] > 1.0 + COEFF_RANGE_TOL))
+    if bad.size:
+        mask = int(bad[0])
+        raise RuntimeError(f"coefficient {mask:#x} = {out[0, mask]} outside [0, 1]")
+    return out
 
 
 def lui_coefficients(pair: EncodedPair) -> LuiState:
     """All 2^N overlap coefficients of the twirled two-copy product."""
-    n = pair.layout.n_sites
-    rho_p = np.outer(pair.psi_plus.amplitudes, pair.psi_plus.amplitudes.conj())
-    rho_m = np.outer(pair.psi_minus.amplitudes, pair.psi_minus.amplitudes.conj())
-    coeffs = np.empty(1 << n)
-    coeffs[0] = 1.0
-    for mask in range(1, 1 << n):
-        val = trace_product(_reduced(rho_p, pair.layout, mask),
-                            _reduced(rho_m, pair.layout, mask))
-        if abs(val.imag) > IMAG_TOL:
-            raise RuntimeError(f"coefficient {mask:#x} has imaginary part {val.imag}")
-        if not -COEFF_RANGE_TOL <= val.real <= 1.0 + COEFF_RANGE_TOL:
-            raise RuntimeError(f"coefficient {mask:#x} = {val.real} outside [0, 1]")
-        coeffs[mask] = val.real
-    return LuiState(pair.layout, coeffs, pair.mode, pair.theta)
-
-
-def _pair_density_derivatives(pair: EncodedPair):
-    """Densities of both copies and their exact theta derivatives."""
-    h = pair.hamiltonian.dense_matrix()
-    rho_p = np.outer(pair.psi_plus.amplitudes, pair.psi_plus.amplitudes.conj())
-    rho_m = np.outer(pair.psi_minus.amplitudes, pair.psi_minus.amplitudes.conj())
-    drho_p = -1j * (h @ rho_p - rho_p @ h)
-    sign = 1.0 if pair.mode == IE else -1.0
-    drho_m = sign * (-1j) * (h @ rho_m - rho_m @ h)
-    return rho_p, rho_m, drho_p, drho_m
-
-
-def overlap_derivative(pair: EncodedPair, site_mask: int) -> float:
-    """Exact d/d(theta) of a single overlap coefficient."""
-    if site_mask == 0:
-        return 0.0
-    rho_p, rho_m, drho_p, drho_m = _pair_density_derivatives(pair)
-    lay = pair.layout
-    val = trace_product(_reduced(drho_p, lay, site_mask), _reduced(rho_m, lay, site_mask))
-    val += trace_product(_reduced(rho_p, lay, site_mask), _reduced(drho_m, lay, site_mask))
-    if abs(val.imag) > IMAG_TOL:
-        raise RuntimeError(f"overlap derivative has imaginary part {val.imag}")
-    return float(val.real)
-
-
-def lui_coefficient_derivatives(pair: EncodedPair) -> np.ndarray:
-    """Exact theta derivatives of all 2^N overlap coefficients."""
-    n = pair.layout.n_sites
-    rho_p, rho_m, drho_p, drho_m = _pair_density_derivatives(pair)
-    lay = pair.layout
-    out = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        val = trace_product(_reduced(drho_p, lay, mask), _reduced(rho_m, lay, mask))
-        val += trace_product(_reduced(rho_p, lay, mask), _reduced(drho_m, lay, mask))
-        if abs(val.imag) > IMAG_TOL:
-            raise RuntimeError(f"derivative {mask:#x} has imaginary part {val.imag}")
-        out[mask] = val.real
-    return out
+    return LuiState(pair.layout, swap_overlaps(pair, 0)[0], pair.mode, pair.theta)
 
 
 # -- closed-form coefficient models (GHZ and product probes, 1/2-weight Z sum)
@@ -178,14 +160,14 @@ def product_coefficients(n: int, theta: float, mode: str = RE) -> np.ndarray:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == IE:
         return np.ones(1 << n)
-    ham = np.array([hamming(a) for a in range(1 << n)])
+    ham = popcounts(n)
     return np.cos(theta) ** (2 * ham)
 
 
 def product_coefficient_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
     if mode == IE:
         return np.zeros(1 << n)
-    ham = np.array([hamming(a) for a in range(1 << n)])
+    ham = popcounts(n)
     out = np.zeros(1 << n)
     nz = ham > 0
     out[nz] = -ham[nz] * math.sin(2.0 * theta) * np.cos(theta) ** (2 * ham[nz] - 2)
@@ -195,7 +177,7 @@ def product_coefficient_derivatives(n: int, theta: float, mode: str = RE) -> np.
 def product_coefficient_second_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
     if mode == IE:
         return np.zeros(1 << n)
-    ham = np.array([hamming(a) for a in range(1 << n)])
+    ham = popcounts(n)
     out = np.zeros(1 << n)
     nz = ham > 0
     k = ham[nz]
@@ -222,13 +204,10 @@ def _lui_matrix(lui: LuiState) -> np.ndarray:
     """Dense two-copy matrix of the invariant state, without state validation."""
     lay2 = lui.layout.two_copy()
     n, d = lay2.n_sites, lay2.local_dim
-    masks = np.arange(1 << n)
-    pc = np.array([hamming(int(m)) for m in masks])
-    xor_weight = pc[np.bitwise_xor.outer(masks, masks)]
-    weights = ((-1.0 / d) ** xor_weight) @ lui.coeffs
+    weights = subset_transform(lui.coeffs, [[1.0, -1.0 / d], [-1.0 / d, 1.0]])
     acc = np.zeros((lay2.dim, lay2.dim), dtype=complex)
-    for m in masks:
-        acc += weights[m] * swap_operator(int(m), lay2)
+    for m in range(1 << n):
+        acc += weights[m] * swap_operator(m, lay2)
     return acc / (d * d - 1.0) ** n
 
 
@@ -246,9 +225,9 @@ def global_overlap_derivative(pair: EncodedPair) -> float:
     """Exact d/d(theta) of the full-state overlap."""
     if pair.mode == IE:
         return 0.0
-    h = pair.hamiltonian.dense_matrix()
-    g = np.vdot(pair.psi_plus.amplitudes, pair.psi_minus.amplitudes)
-    dg = 2j * np.vdot(pair.psi_plus.amplitudes, h @ pair.psi_minus.amplitudes)
+    plus, minus = pair.psi_plus.amplitudes, pair.psi_minus.amplitudes
+    g = np.vdot(plus, minus)
+    dg = 2j * np.vdot(plus, pair.hamiltonian.apply(minus))
     return float(2.0 * (np.conj(g) * dg).real)
 
 

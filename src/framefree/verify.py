@@ -138,7 +138,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the trace norm of the difference."""
     if rho.layout != sigma.layout:
         raise ValueError("operators live on different layouts")
-    vals, _ = hermitian_eig(rho.matrix - sigma.matrix)
+    vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(vals)))
 
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from framefree.fisher import (
+    fisher_from_coefficients,
     lui_spectrum,
     qfi_from_spectrum,
     qfi_ghz_closed,
@@ -22,7 +23,6 @@ from framefree.measure import (
     cfi_dm_from_overlap,
     cfi_grm_from_overlap,
     cfi_lbm_from_coefficients,
-    cfi_lst_from_coefficients,
     estimation_experiment,
     probs_dm,
     probs_lbm,
@@ -147,7 +147,7 @@ def test_c05_swap_readouts_saturate():
             for theta in grid:
                 c, dc = coeffs_fn(n, theta), dcoeffs_fn(n, theta)
                 want = closed(n, theta)
-                lst = cfi_lst_from_coefficients(c, dc)
+                lst = fisher_from_coefficients(c, dc)[0]
                 lbm = cfi_lbm_from_coefficients(c, dc)
                 scale = max(want, 1.0)
                 worst = max(worst, abs(lst - want) / scale, abs(lbm - want) / scale)
@@ -157,10 +157,10 @@ def test_c05_swap_readouts_saturate():
     fn = _pair_fn(psi)
     for theta in (0.2, 0.8):
         pair = fn(theta)
-        from framefree.twirl import lui_coefficient_derivatives
+        from framefree.twirl import swap_overlaps
 
         lui = lui_coefficients(pair)
-        lst = cfi_lst_from_coefficients(lui.coeffs, lui_coefficient_derivatives(pair))
+        lst = fisher_from_coefficients(lui.coeffs, swap_overlaps(pair, 1)[1])[0]
         want = qfi_re_general(fn, theta, step=0.0).value
         worst = max(worst, abs(lst - want) / max(want, 1.0))
     _report(5, "local swap test and Bell readout saturate the twirled optimum",

@@ -65,6 +65,24 @@ class TestScan:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_global_twirl_column_near_zero_angle(self, tmp_path):
+        # GHZ N=10 within 1e-6 of the stationary angle 0: the overlap gate
+        # must resolve the limit, not abort
+        out = tmp_path / "gui.csv"
+        code = main(["scan", "--probe", "ghz", "--sites", "10", "--theta-min", "0",
+                     "--theta-max", "1e-6", "--theta-points", "21",
+                     "--strategies", "qfi_gui", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        c = np.cos(10 * rows[:, 0]) ** 2
+        want = 400.0 * c / (1.0 + c)
+        assert np.max(np.abs(rows[:, 1] - want) / want) <= 1e-3
+
+    def test_step_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--step", "1e-3", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
     def test_degenerate_grid_rejected(self, tmp_path):
         code = main(["scan", "--theta-min", "0.0", "--theta-max", "0.0",
                      "--theta-points", "2", "--out", str(tmp_path / "x.csv")])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framefree.fisher import (
+    DEFAULT_STEP,
     f0,
     fisher_from_coefficients,
     lui_spectrum,
@@ -14,10 +15,16 @@ from framefree.fisher import (
     qfi_one_site_closed,
     qfi_product_closed,
     qfi_re_general,
-    walsh_transform,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
-from framefree.tensor import QuditLayout, StateVector, hamming, local_unitary
+from framefree.tensor import (
+    WALSH_KERNEL,
+    QuditLayout,
+    StateVector,
+    hamming,
+    local_unitary,
+    subset_transform,
+)
 from framefree.twirl import LuiState, ghz_lui, lui_coefficients, lui_density
 
 from conftest import random_state
@@ -45,7 +52,7 @@ def test_walsh_transform_matches_sign_matrix(rng):
     # oracle: explicit (-1)^(popcount(a & b)) matrix
     v = rng.standard_normal(16)
     signs = np.array([[(-1.0) ** hamming(a & b) for a in range(16)] for b in range(16)])
-    assert np.allclose(walsh_transform(v), signs @ v, atol=1e-12)
+    assert np.allclose(subset_transform(v, WALSH_KERNEL), signs @ v, atol=1e-12)
 
 
 class TestSpectrum:
@@ -332,13 +339,33 @@ class TestDenseOracle:
 
 class TestDenominatorRule:
     def test_dropped_terms_reported(self):
-        # GHZ at theta = 0: odd-mask families are 0/0 and get dropped
+        # GHZ at theta = 0: odd-mask families are 0/0; the exact second
+        # derivatives resolve them to their limit, so nothing is dropped
         result = qfi_re_general(z_pair_fn(ghz_state(2)), 0.0)
-        assert len(result.dropped) > 0
+        assert result.dropped == ()
+        assert abs(result.value - 8.0) <= 8.0 * 1e-6
+
+    @pytest.mark.parametrize("step", [0.0, DEFAULT_STEP])
+    @pytest.mark.parametrize("probe, n, theta, closed", [
+        (ghz_state, 2, 0.0, 8.0),
+        (ghz_state, 2, np.pi / 4, 4.0),
+        (ghz_state, 3, np.pi / 6, 13.5),
+        (product_plus_state, 3, 0.0, 6.0),
+    ])
+    def test_stationary_angles_resolved(self, probe, n, theta, closed, step):
+        # families whose signed sum and its derivative both vanish take the
+        # continuous-extension value 2 x (second derivative)
+        psi = probe(n)
+        fn = z_pair_fn(psi)
+        tol = f0(psi, HamiltonianSpec.pauli_z_sum(n)) * (1e-6 if step else 1e-8)
+        result = qfi_re_general(fn, theta, step)
+        assert result.dropped == ()
+        assert abs(result.value - closed) <= tol
+        assert abs(qfi_m_site_closed(fn(theta), step) - closed) <= tol
 
     def test_negative_denominator_aborts(self):
         coeffs = np.array([1.0, 1.0, 0.0, 1.0])  # infeasible: signed sum < 0
-        signed = walsh_transform(coeffs)
+        signed = subset_transform(coeffs, WALSH_KERNEL)
         assert signed.min() < -1e-8
         with pytest.raises(RuntimeError, match="PSD"):
             fisher_from_coefficients(coeffs, np.zeros(4))

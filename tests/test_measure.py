@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from framefree.fisher import qfi_ghz_closed, qfi_gui_ghz_closed, qfi_re_general
+from framefree.fisher import (
+    fisher_from_coefficients,
+    qfi_ghz_closed,
+    qfi_gui_ghz_closed,
+    qfi_re_general,
+)
 from framefree.measure import (
     OutcomeDistribution,
     cfi,
@@ -16,7 +21,6 @@ from framefree.measure import (
     cfi_lbm,
     cfi_lbm_from_coefficients,
     cfi_lst,
-    cfi_lst_from_coefficients,
     default_window,
     estimation_experiment,
     mle_estimate,
@@ -154,6 +158,8 @@ class TestGlobalSwapTest:
         assert cfi_gst_from_overlap(1.0, 0.0, limit=6.0) == 6.0
         with pytest.raises(RuntimeError, match="limit"):
             cfi_gst_from_overlap(1.0, 0.0)
+        with pytest.raises(RuntimeError, match="non-vanishing derivative"):
+            cfi_gst_from_overlap(1.0, 1.0, limit=2.0)
 
 
 class TestLocalSwapTest:
@@ -181,7 +187,7 @@ class TestLocalSwapTest:
             for theta in (0.2, 0.8, 1.3):
                 c = ghz_coefficients(n, theta)
                 dc = ghz_coefficient_derivatives(n, theta)
-                got = cfi_lst_from_coefficients(c, dc)
+                got = fisher_from_coefficients(c, dc)[0]
                 want = qfi_ghz_closed(n, theta)
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
@@ -245,7 +251,7 @@ class TestStrategyOrdering:
             assert cfi_gst_from_overlap(s, ds, limit=8.0) <= ceiling
             c = ghz_coefficients(n, theta)
             dc = ghz_coefficient_derivatives(n, theta)
-            assert cfi_lst_from_coefficients(c, dc) <= ceiling
+            assert fisher_from_coefficients(c, dc)[0] <= ceiling
 
     def test_probability_route_matches_general_path(self, rng):
         # dual route: outcome-model CFI vs coefficient-path information

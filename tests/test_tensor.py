@@ -13,7 +13,9 @@ from framefree.tensor import (
     kron,
     local_unitary,
     partial_trace,
+    popcounts,
     ptrace_matrix,
+    subset_transform,
     swap_operator,
     trace_product,
 )
@@ -241,3 +243,48 @@ def test_hamming():
     assert hamming(0b1011) == 3
     with pytest.raises(ValueError):
         hamming(-1)
+
+
+def test_popcounts():
+    for n in range(7):
+        assert popcounts(n).tolist() == [hamming(a) for a in range(1 << n)]
+
+
+def _explicit_sums(v, d):
+    """The four subset sums the transform replaces, each as the explicit
+    O(4^N) double loop over masks."""
+    size = len(v)
+    n = size.bit_length() - 1
+    base = 1.0 / (d * d - 1.0) ** n
+    walsh = np.array([sum((-1.0) ** hamming(a & b) * v[a] for a in range(size))
+                      for b in range(size)])
+    coincide = np.empty(size)
+    for m in range(size):
+        k = hamming(m)
+        signed = sum(v[a] * (-1.0 / d) ** hamming(a & ~m) for a in range(size))
+        coincide[m] = base * ((d - 1.0) / d) ** k * signed * d**n * (d - 1) ** (n - k)
+    dense_weights = np.array([sum((-1.0 / d) ** hamming(a ^ m) * v[a] for a in range(size))
+                              for m in range(size)])
+    spectrum = np.array([base * ((d - 1.0) / d) ** (n - hamming(b))
+                         * ((d + 1.0) / d) ** hamming(b) * walsh[b] for b in range(size)])
+    return walsh, coincide, dense_weights, spectrum
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subset_transform_matches_explicit_sums(rng, n, d):
+    v = rng.uniform(0.0, 1.0, 1 << n)
+    kernels = (
+        [[1.0, 1.0], [1.0, -1.0]],
+        [[d / (d + 1.0), -1.0 / (d + 1.0)], [1.0 / (d + 1.0), 1.0 / (d + 1.0)]],
+        [[1.0, -1.0 / d], [-1.0 / d, 1.0]],
+        [[1.0 / (d * (d + 1)), 1.0 / (d * (d + 1))], [1.0 / (d * (d - 1)), -1.0 / (d * (d - 1))]],
+    )
+    for kernel, want in zip(kernels, _explicit_sums(v, d)):
+        got = subset_transform(v, kernel)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_subset_transform_rejects_bad_length():
+    with pytest.raises(ValueError, match="power of two"):
+        subset_transform(np.ones(6), [[1.0, 1.0], [1.0, -1.0]])

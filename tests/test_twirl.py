@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
-from framefree.tensor import QuditLayout, StateVector, hamming, partial_trace, swap_operator, trace_product
+from framefree.tensor import (
+    QuditLayout,
+    StateVector,
+    hamming,
+    partial_trace,
+    ptrace_matrix,
+    swap_operator,
+    trace_product,
+)
 from framefree.twirl import (
     LuiState,
     g_twirl_apply,
@@ -12,15 +20,14 @@ from framefree.twirl import (
     global_overlap_derivative,
     gui_density,
     gui_state,
-    lui_coefficient_derivatives,
     lui_coefficients,
     lui_density,
     mc_local_twirl,
-    overlap_coefficient,
     pair_product_density,
     product_coefficient_derivatives,
     product_coefficient_second_derivatives,
     product_coefficients,
+    swap_overlaps,
 )
 
 from conftest import random_hermitian, random_state
@@ -40,23 +47,23 @@ class TestOverlapCoefficient:
     def test_ghz_full_mask(self):
         for n in (2, 3):
             pair = z_sum_pair(ghz_state(n), 0.47)
-            got = overlap_coefficient(pair, (1 << n) - 1)
+            got = swap_overlaps(pair, 0)[0, (1 << n) - 1]
             assert np.isclose(got, np.cos(n * 0.47) ** 2, atol=1e-12)
 
     def test_ghz_partial_masks_half(self):
         pair = z_sum_pair(ghz_state(3), 0.31)
         for mask in (0b001, 0b011, 0b101, 0b110):
-            assert np.isclose(overlap_coefficient(pair, mask), 0.5, atol=1e-12)
+            assert np.isclose(swap_overlaps(pair, 0)[0, mask], 0.5, atol=1e-12)
 
     def test_product_power_law(self):
         pair = z_sum_pair(product_plus_state(3), 0.62)
         for mask in range(8):
             expected = np.cos(0.62) ** (2 * hamming(mask))
-            assert np.isclose(overlap_coefficient(pair, mask), expected, atol=1e-12)
+            assert np.isclose(swap_overlaps(pair, 0)[0, mask], expected, atol=1e-12)
 
     def test_empty_mask_is_one(self, rng):
         pair = z_sum_pair(random_state(2, rng), 1.1)
-        assert overlap_coefficient(pair, 0) == 1.0
+        assert swap_overlaps(pair, 0)[0, 0] == 1.0
 
     def test_matches_swap_expectation(self, rng):
         # oracle: Tr(S_a P) on the dense two-copy product
@@ -66,7 +73,67 @@ class TestOverlapCoefficient:
         lay2 = pair.layout.two_copy()
         for mask in range(4):
             expect = trace_product(swap_operator(mask, lay2), dense).real
-            assert np.isclose(overlap_coefficient(pair, mask), expect, atol=1e-11)
+            assert np.isclose(swap_overlaps(pair, 0)[0, mask], expect, atol=1e-11)
+
+
+def density_route(pair):
+    """Reference c and c' for every mask from reduced densities of the full
+    single-copy densities and their commutator derivatives."""
+    lay = pair.layout
+    n, d = lay.n_sites, lay.local_dim
+    h = pair.hamiltonian.dense_matrix()
+    rho_p = pair.psi_plus.density().matrix
+    rho_m = pair.psi_minus.density().matrix
+    sign = 1.0 if pair.mode == IE else -1.0
+    drho_p = -1j * (h @ rho_p - rho_p @ h)
+    drho_m = sign * (-1j) * (h @ rho_m - rho_m @ h)
+    c, dc = np.ones(1 << n), np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        red = lambda mat: ptrace_matrix(mat, d, n, mask)
+        c[mask] = trace_product(partial_trace(pair.psi_plus.density(), mask).matrix,
+                                partial_trace(pair.psi_minus.density(), mask).matrix).real
+        dc[mask] = (trace_product(red(drho_p), red(rho_m))
+                    + trace_product(red(rho_p), red(drho_m))).real
+    return c, dc
+
+
+def random_pairs(rng, mode):
+    """Random qubit probes under random-weight Z sums (N up to 5) and random
+    qutrit probes under dense generators (N up to 3)."""
+    for n in range(1, 6):
+        h = HamiltonianSpec.pauli_z_sum(n, rng.uniform(0.2, 1.0, n))
+        yield lambda t, psi=random_state(n, rng), h=h: make_pair(psi, h, t, mode)
+    for n in range(1, 4):
+        lay = QuditLayout(n, 3, 1)
+        h = HamiltonianSpec.dense(lay, random_hermitian(lay.dim, rng) / np.sqrt(lay.dim))
+        yield lambda t, psi=random_state(n, rng, 3), h=h: make_pair(psi, h, t, mode)
+
+
+class TestSwapOverlaps:
+    @pytest.mark.parametrize("mode", [IE, RE])
+    def test_matches_density_route(self, rng, mode):
+        for pair_fn in random_pairs(rng, mode):
+            pair = pair_fn(0.7)
+            c, dc = density_route(pair)
+            got = swap_overlaps(pair)
+            assert np.max(np.abs(got[0] - c)) <= 1e-14
+            assert np.max(np.abs(got[1] - dc)) <= 1e-14 * max(1.0, np.max(np.abs(dc)))
+            assert np.max(np.abs(swap_overlaps(pair, 0)[0] - got[0])) <= 1e-14
+
+    @pytest.mark.parametrize("mode", [IE, RE])
+    def test_second_derivative_matches_difference_of_first(self, rng, mode):
+        h = 1e-5
+        for pair_fn in random_pairs(rng, mode):
+            ddc = swap_overlaps(pair_fn(0.7))[2]
+            fd = (swap_overlaps(pair_fn(0.7 + h), 1)[1]
+                  - swap_overlaps(pair_fn(0.7 - h), 1)[1]) / (2 * h)
+            assert np.max(np.abs(ddc - fd)) <= 1e-8 * max(1.0, np.max(np.abs(ddc)))
+
+    def test_out_of_range_coefficient_rejected(self):
+        pair = z_sum_pair(ghz_state(2), 0.3)
+        pair.psi_minus.amplitudes = 2.0 * pair.psi_minus.amplitudes
+        with pytest.raises(RuntimeError, match="outside"):
+            swap_overlaps(pair, 0)
 
 
 class TestLuiCoefficients:
@@ -111,7 +178,7 @@ class TestLuiCoefficients:
         psi = random_state(2, rng)
         h = 1e-6
         for mode in (IE, RE):
-            exact = lui_coefficient_derivatives(z_sum_pair(psi, 0.7, mode))
+            exact = swap_overlaps(z_sum_pair(psi, 0.7, mode), 1)[1]
             fd = (lui_coefficients(z_sum_pair(psi, 0.7 + h, mode)).coeffs
                   - lui_coefficients(z_sum_pair(psi, 0.7 - h, mode)).coeffs) / (2 * h)
             assert np.allclose(exact, fd, atol=1e-8)
