@@ -77,11 +77,10 @@ def _scan_value(strategy: str, probe: str, n: int, theta: float) -> float:
         return measure.cfi_dm_from_overlap(s, ds, n)
     if strategy == "cfi_grm":
         return measure.cfi_grm_from_overlap(s, ds, n)
-    coeffs, dcoeffs, second = _probe_coeffs(probe, n, theta)
-    if strategy == "cfi_lst":
-        return fisher.fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second)[0]
-    if strategy == "cfi_lbm":
-        return measure.cfi_lbm_from_coefficients(coeffs, dcoeffs, second_dcoeffs=second)
+    if strategy in ("cfi_lst", "cfi_lbm"):
+        # the Bell readout splits each swap-test class into equal-probability
+        # patterns, which leaves the information sum unchanged
+        return fisher.fisher_from_coefficients(*_probe_coeffs(probe, n, theta))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -20,9 +20,9 @@ from .tensor import WALSH_KERNEL, popcounts, subset_transform
 from .twirl import LuiState, swap_overlaps
 
 DEFAULT_STEP = 1e-5
-DENOM_FLOOR = 1e-10
 EIGENVALUE_FLOOR = 1e-12
-NEGATIVE_DENOM_ABORT = -1e-8
+SUM_ROUNDING = 8.0  # rounding scale of a signed coefficient sum, in eps * sum|c|
+_MODE_NAMES = {RE: "reversed", IE: "identical"}
 
 
 @dataclass(frozen=True)
@@ -55,45 +55,38 @@ def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
     return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(1 << n)]
 
 
-def _ratio_sum(den, num, *, denom_floor=DENOM_FLOOR, second_derivs=None):
-    """Sum of num^2/den over mask families with the vanishing-denominator rule.
+def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs) -> float:
+    """Information of the invariant state from the overlap coefficients and
+    their first and second derivatives: (1/2^N) times the sum over masks of
+    num^2 / den, with den, num and sec the signed sums of c, c' and c''.
 
-    A family whose denominator and numerator both sit under the floor is a
-    0/0 limit: it is dropped (and reported) unless `second_derivs` supplies
-    the second derivative of the denominator, in which case the limit value
-    2 * den'' is used instead.
+    Each family is judged against the rounding scale r = SUM_ROUNDING * eps *
+    sum|c| of its denominator.  Below -r the state is not PSD.  Up to r the
+    family is a zero and takes its continuous limit 2 sec (Safranek, PRA 95,
+    052320, 2017), which requires num^2 <= 4 r max(|sec|, 2^N).  Above r it
+    takes num^2 / den, or the limit where the two agree within the ratio's
+    own rounding, which settles double zeros near stationary angles.
     """
-    num_floor = math.sqrt(denom_floor)
-    total = 0.0
-    dropped = []
-    for b in range(len(den)):
-        db, nb = float(den[b]), float(num[b])
-        if db < NEGATIVE_DENOM_ABORT:
-            raise RuntimeError(f"denominator {db} at mask {b:#x} is negative: state is not PSD")
-        if abs(db) < denom_floor:
-            if abs(nb) >= num_floor:
-                raise RuntimeError(
-                    f"vanishing denominator with non-vanishing numerator {nb} at mask {b:#x}"
-                )
-            if second_derivs is not None:
-                total += 2.0 * float(second_derivs[b])
-            else:
-                dropped.append(b)
-        elif db < 0.0:
-            raise RuntimeError(f"denominator {db} at mask {b:#x} is negative: state is not PSD")
-        else:
-            total += nb * nb / db
-    return total, tuple(dropped)
-
-
-def fisher_from_coefficients(coeffs, dcoeffs, *, denom_floor=DENOM_FLOOR, second_dcoeffs=None):
-    """Information of the invariant state from overlap coefficients and their
-    derivatives: (1/2^N) times the ratio sum over all signed coefficient sums."""
-    den = subset_transform(coeffs, WALSH_KERNEL)
-    num = subset_transform(dcoeffs, WALSH_KERNEL)
-    second = None if second_dcoeffs is None else subset_transform(second_dcoeffs, WALSH_KERNEL)
-    total, dropped = _ratio_sum(den, num, denom_floor=denom_floor, second_derivs=second)
-    return total / len(den), dropped
+    c = np.asarray(coeffs, dtype=float)
+    size = c.size
+    # centred on c_0 = 1 so the sums near a zero carry no O(1) cancellation
+    den, num, sec = subset_transform([c - c[0], dcoeffs, second_dcoeffs], WALSH_KERNEL)
+    den[0] += size * c[0]
+    r = SUM_ROUNDING * np.finfo(float).eps * np.abs(c).sum()
+    b = int(den.argmin())
+    if den[b] < -r:
+        raise RuntimeError(f"denominator {den[b]} at mask {b:#x} is negative: state is not PSD")
+    zero = den <= r
+    pinned = zero & (num * num > 4.0 * r * np.maximum(np.abs(sec), size))
+    if pinned.any():
+        b = int(pinned.argmax())
+        raise RuntimeError(f"vanishing denominator with non-vanishing numerator {num[b]} "
+                           f"at mask {b:#x}")
+    den = np.where(zero, 1.0, den)
+    ratio = num * num / den
+    limit = 2.0 * sec
+    at_limit = zero | (np.abs(ratio - limit) * den <= r * ratio)
+    return float(np.where(at_limit, limit, ratio).sum() / size)
 
 
 def _overlap_series(pair_fn, theta: float, step: float):
@@ -109,26 +102,24 @@ def _overlap_series(pair_fn, theta: float, step: float):
     return pair, series
 
 
+def _qfi_general(pair_fn, theta: float, step: float, mode: str) -> FisherResult:
+    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
+    if pair.mode != mode:
+        raise ValueError(f"qfi_{mode}_general expects {_MODE_NAMES[mode]}-encoding pairs")
+    return FisherResult(theta, fisher_from_coefficients(c, dc, ddc), f"{mode}_general", step)
+
+
 def qfi_re_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
     """Information of the locally twirled reversed-encoding state."""
-    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
-    if pair.mode != RE:
-        raise ValueError("qfi_re_general expects reversed-encoding pairs")
-    value, dropped = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
-    return FisherResult(theta, value, "re_general", step, dropped)
+    return _qfi_general(pair_fn, theta, step, RE)
 
 
 def qfi_ie_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
     """Information of the locally twirled identical-encoding state (purity terms)."""
-    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
-    if pair.mode != IE:
-        raise ValueError("qfi_ie_general expects identical-encoding pairs")
-    value, dropped = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
-    return FisherResult(theta, value, "ie_general", step, dropped)
+    return _qfi_general(pair_fn, theta, step, IE)
 
 
-def qfi_from_spectrum(spectrum_fn, theta: float, step: float = DEFAULT_STEP,
-                      eigenvalue_floor: float = EIGENVALUE_FLOOR) -> FisherResult:
+def qfi_from_spectrum(spectrum_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
     """Degeneracy-weighted sum of (d lambda)^2 / lambda over the spectrum,
     with central finite differences; families below the floor are excluded."""
     if step <= 0.0:
@@ -140,7 +131,7 @@ def qfi_from_spectrum(spectrum_fn, theta: float, step: float = DEFAULT_STEP,
     dropped = []
     for entry in here:
         dlam = (above[entry.mask] - below[entry.mask]) / (2.0 * step)
-        if entry.eigenvalue < eigenvalue_floor:
+        if entry.eigenvalue < EIGENVALUE_FLOOR:
             dropped.append(entry.mask)
             continue
         total += entry.degeneracy * dlam * dlam / entry.eigenvalue
@@ -194,9 +185,7 @@ def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     if support == 0:
         raise ValueError("the generator has empty support")
     _, series = _overlap_series(pair.at, pair.theta, step)
-    c, dc, ddc = series[:, _submasks(support)]
-    value, _ = fisher_from_coefficients(c, dc, second_dcoeffs=ddc)
-    return float(value)
+    return fisher_from_coefficients(*series[:, _submasks(support)])
 
 
 def qfi_product_closed(n: int, theta: float) -> float:

@@ -13,11 +13,12 @@ import numpy as np
 
 from .fisher import DEFAULT_STEP, f0
 from .states import EncodedPair
-from .tensor import WALSH_KERNEL, hamming, popcounts, subset_transform
+from .tensor import WALSH_KERNEL, popcounts, subset_transform
 from .twirl import LuiState, global_overlap, global_overlap_derivative
 
 PROB_FLOOR = 1e-14
 PROB_ATOL = -1e-12
+CLASS_PROB_TOL = 1e-10
 PROB_SUM_ATOL = 1e-9
 OVERLAP_FLOOR = 1e-12
 
@@ -62,14 +63,14 @@ class EstimationRun:
     repetitions: int = 1
 
 
-def cfi(dist_fn, theta: float, step: float = DEFAULT_STEP, prob_floor: float = PROB_FLOOR) -> float:
+def cfi(dist_fn, theta: float, step: float = DEFAULT_STEP) -> float:
     """Classical information sum (dp)^2/p from an outcome model; classes with
     probability under the floor are dropped."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     p = dist_fn(theta).probs
     dp = (dist_fn(theta + step).probs - dist_fn(theta - step).probs) / (2.0 * step)
-    live = p > prob_floor
+    live = p > PROB_FLOOR
     return float(np.sum(dp[live] ** 2 / p[live]))
 
 
@@ -158,14 +159,20 @@ def _overlap_and_derivative(pair: EncodedPair, step: float):
 # -- local swap test and local Bell readout
 
 
+def _class_probs(lui: LuiState) -> np.ndarray:
+    """Probabilities of the antisymmetric-site-mask classes: the signed
+    coefficient sums over 2^N."""
+    p = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << lui.n_sites)
+    if p.min() < -CLASS_PROB_TOL:
+        raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
+    return p
+
+
 def probs_lst(lui: LuiState) -> OutcomeDistribution:
     """Per-site ancilla bitstring probabilities of the local swap test."""
     n = lui.n_sites
-    p = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << n)
-    if p.min() < -1e-10:
-        raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
     labels = tuple(f"ancilla:{b:0{n}b}" for b in range(1 << n))
-    return OutcomeDistribution(labels, p, lui.theta, LST)
+    return OutcomeDistribution(labels, _class_probs(lui), lui.theta, LST)
 
 
 def probs_lbm(lui: LuiState) -> OutcomeDistribution:
@@ -174,35 +181,9 @@ def probs_lbm(lui: LuiState) -> OutcomeDistribution:
     if lui.layout.local_dim != 2:
         raise ValueError("Bell readout is defined for qubits")
     n = lui.n_sites
-    class_probs = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << n)
-    if class_probs.min() < -1e-10:
-        raise RuntimeError(f"inconsistent coefficients: probability {class_probs.min()}")
     mult = 3 ** (n - popcounts(n))
     labels = tuple(f"singlet:{b:0{n}b}" for b in range(1 << n))
-    return OutcomeDistribution(labels, class_probs, lui.theta, LBM, multiplicity=mult)
-
-
-def cfi_lbm_from_coefficients(coeffs, dcoeffs, second_dcoeffs=None) -> float:
-    """Bell-readout information through the pattern probabilities: each class
-    splits into 3^(N-|b|) equal-probability patterns, which leaves the sum
-    unchanged."""
-    n_classes = len(np.asarray(coeffs))
-    n = n_classes.bit_length() - 1
-    class_p = subset_transform(coeffs, WALSH_KERNEL) / n_classes
-    class_dp = subset_transform(dcoeffs, WALSH_KERNEL) / n_classes
-    second = (None if second_dcoeffs is None
-              else subset_transform(second_dcoeffs, WALSH_KERNEL) / n_classes)
-    total = 0.0
-    for b in range(n_classes):
-        mult = 3 ** (n - hamming(b))
-        pat_p = class_p[b] / mult
-        pat_dp = class_dp[b] / mult
-        if class_p[b] < PROB_FLOOR:
-            if second is not None and abs(class_dp[b]) < 1e-7:
-                total += 2.0 * second[b]
-            continue
-        total += mult * pat_dp * pat_dp / pat_p
-    return float(total)
+    return OutcomeDistribution(labels, _class_probs(lui), lui.theta, LBM, multiplicity=mult)
 
 
 def cfi_lst(lui_fn, theta: float, step: float = DEFAULT_STEP) -> float:

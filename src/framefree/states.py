@@ -19,6 +19,12 @@ MODES = (IE, RE)
 PAULI_Z = np.diag([1.0 + 0j, -1.0 + 0j])
 
 
+def _site_signs(n: int) -> np.ndarray:
+    """(2^n x n) table of the Z eigenvalue 1 - 2 * bit of each site per basis index."""
+    idx = np.arange(1 << n)
+    return 1.0 - 2.0 * ((idx[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1)
+
+
 @dataclass(eq=False)
 class HamiltonianSpec:
     """Encoding generator on a single-copy register.
@@ -46,6 +52,8 @@ class HamiltonianSpec:
                 raise ValueError("one weight per site expected")
             self.site_weights = w
             self.support = int(sum(1 << i for i in range(w.size) if w[i] != 0.0))
+            self._z_diag = _site_signs(self.layout.n_sites) @ w
+            self._z_diag.flags.writeable = False
         else:
             mat = np.asarray(self.matrix, dtype=complex)
             dim = self.layout.dim
@@ -74,13 +82,11 @@ class HamiltonianSpec:
         return self.site_weights is not None
 
     def z_diagonal(self) -> np.ndarray:
-        """Diagonal of the Z-sum generator over basis indices (bit b -> z = 1-2b)."""
+        """Diagonal of the Z-sum generator over basis indices (bit b -> z = 1-2b),
+        built once at construction and read-only."""
         if not self.is_z_sum:
             raise ValueError("not a Pauli-Z sum")
-        n = self.layout.n_sites
-        idx = np.arange(self.layout.dim)
-        z = 1.0 - 2.0 * ((idx[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1)
-        return z @ self.site_weights
+        return self._z_diag
 
     def dense_matrix(self) -> np.ndarray:
         return np.diag(self.z_diagonal().astype(complex)) if self.is_z_sum else self.matrix
@@ -170,8 +176,5 @@ def distributed_encode(psi: StateVector, thetas) -> StateVector:
         raise ValueError("distributed encoding is defined for qubits")
     if thetas.shape != (psi.layout.n_sites,):
         raise ValueError("one angle per site expected")
-    n = psi.layout.n_sites
-    idx = np.arange(psi.layout.dim)
-    z = 1.0 - 2.0 * ((idx[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1)
-    phases = np.exp(-0.5j * (z @ thetas))
+    phases = np.exp(-0.5j * (_site_signs(psi.layout.n_sites) @ thetas))
     return StateVector(psi.layout, psi.amplitudes * phases)

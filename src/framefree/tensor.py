@@ -60,19 +60,19 @@ WALSH_KERNEL = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def subset_transform(values, kernel) -> np.ndarray:
-    """Kronecker-kernel transform over bit-masks:
-    out[b] = sum_a prod_i kernel[b_i][a_i] * values[a].
+    """Kronecker-kernel transform over bit-masks along the last axis:
+    out[..., b] = sum_a prod_i kernel[b_i][a_i] * values[..., a].
 
     Yates' algorithm: one batched 2x2 product per bit, O(N 2^N) in all.
     """
     out = np.array(values, dtype=float)
-    size = out.size
+    size = out.shape[-1] if out.ndim else 0
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
     k = np.asarray(kernel, dtype=float)
     h = 1
     while h < size:
-        out = (k @ out.reshape(-1, 2, h)).reshape(size)
+        out = (k @ out.reshape(-1, 2, h)).reshape(out.shape)
         h *= 2
     return out
 

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from framefree.cli import _scan_value
 from framefree.fisher import (
     fisher_from_coefficients,
     lui_spectrum,
@@ -22,7 +23,6 @@ from framefree.fisher import (
 from framefree.measure import (
     cfi_dm_from_overlap,
     cfi_grm_from_overlap,
-    cfi_lbm_from_coefficients,
     estimation_experiment,
     probs_dm,
     probs_lbm,
@@ -31,13 +31,16 @@ from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, prod
 from framefree.tensor import QuditLayout, StateVector
 from framefree.twirl import (
     ghz_coefficient_derivatives,
+    ghz_coefficient_second_derivatives,
     ghz_coefficients,
     ghz_lui,
     lui_coefficients,
     lui_density,
     mc_local_twirl,
     product_coefficient_derivatives,
+    product_coefficient_second_derivatives,
     product_coefficients,
+    swap_overlaps,
 )
 from framefree.verify import CommutantQuery, commutant_dimension, invariance_suite, trace_distance
 
@@ -140,15 +143,17 @@ def test_c05_swap_readouts_saturate():
     worst = 0.0
     grid = _grid_with_margin(4, 50, 0.012)
     for n in (1, 2, 3, 4):
-        for coeffs_fn, dcoeffs_fn, closed in (
-            (ghz_coefficients, ghz_coefficient_derivatives, qfi_ghz_closed),
-            (product_coefficients, product_coefficient_derivatives, qfi_product_closed),
+        for probe, coeffs_fn, dcoeffs_fn, ddcoeffs_fn, closed in (
+            ("ghz", ghz_coefficients, ghz_coefficient_derivatives,
+             ghz_coefficient_second_derivatives, qfi_ghz_closed),
+            ("product", product_coefficients, product_coefficient_derivatives,
+             product_coefficient_second_derivatives, qfi_product_closed),
         ):
             for theta in grid:
-                c, dc = coeffs_fn(n, theta), dcoeffs_fn(n, theta)
+                c, dc, ddc = coeffs_fn(n, theta), dcoeffs_fn(n, theta), ddcoeffs_fn(n, theta)
                 want = closed(n, theta)
-                lst = fisher_from_coefficients(c, dc)[0]
-                lbm = cfi_lbm_from_coefficients(c, dc)
+                lst = fisher_from_coefficients(c, dc, ddc)
+                lbm = _scan_value("cfi_lbm", probe, n, theta)
                 scale = max(want, 1.0)
                 worst = max(worst, abs(lst - want) / scale, abs(lbm - want) / scale)
     # same statement through the numeric pipeline on a random probe
@@ -156,11 +161,7 @@ def test_c05_swap_readouts_saturate():
     psi = _random_probe(3, rng)
     fn = _pair_fn(psi)
     for theta in (0.2, 0.8):
-        pair = fn(theta)
-        from framefree.twirl import swap_overlaps
-
-        lui = lui_coefficients(pair)
-        lst = fisher_from_coefficients(lui.coeffs, swap_overlaps(pair, 1)[1])[0]
+        lst = fisher_from_coefficients(*swap_overlaps(fn(theta)))
         want = qfi_re_general(fn, theta, step=0.0).value
         worst = max(worst, abs(lst - want) / max(want, 1.0))
     _report(5, "local swap test and Bell readout saturate the twirled optimum",

@@ -78,6 +78,40 @@ class TestScan:
         want = 400.0 * c / (1.0 + c)
         assert np.max(np.abs(rows[:, 1] - want) / want) <= 1e-3
 
+    @pytest.mark.parametrize("theta_max, strategies", [
+        ("0.39269928169872414", "qfi_re,cfi_lbm"),
+        ("0.39270108169872414", "qfi_re,cfi_lst"),
+    ])
+    def test_ghz_stationary_window(self, tmp_path, theta_max, strategies):
+        # GHZ N=4 within 2e-6 of the stationary angle pi/8, where the odd
+        # families are double zeros: every column must read 28
+        out = tmp_path / "pi8.csv"
+        code = main(["scan", "--probe", "ghz", "--sites", "4",
+                     "--theta-min", "0.39269908169872414", "--theta-max", theta_max,
+                     "--theta-points", "3", "--strategies", strategies,
+                     "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert np.max(np.abs(rows[:, 1:] - 28.0)) <= 28.0 * 1e-6
+
+    def test_product_swap_columns_on_quadrant(self, tmp_path):
+        # product N=3 across the quartic and double zeros at theta = 0:
+        # closed-form rounding bound f0 (1e-9 + min(4 eps / (1 - s), 1e-7))
+        out = tmp_path / "prod.csv"
+        code = main(["scan", "--probe", "product", "--sites", "3",
+                     "--theta-min", "0", "--theta-max", str(np.pi / 2),
+                     "--theta-points", "201", "--strategies", "cfi_lst,cfi_lbm",
+                     "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        c = np.cos(np.linspace(0.0, np.pi / 2, 201)) ** 2
+        want = 12.0 * c / (1.0 + c)
+        with np.errstate(divide="ignore"):
+            rel = np.minimum(4.0 * np.finfo(float).eps / (1.0 - c**3), 1e-7)
+        tol = 6.0 * (1e-9 + rel)
+        for col in (1, 2):
+            assert np.all(np.abs(rows[:, col] - want) <= tol)
+
     def test_step_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--step", "1e-3", "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framefree.cli import _scan_value
 from framefree.fisher import (
     DEFAULT_STEP,
     f0,
@@ -363,9 +364,32 @@ class TestDenominatorRule:
         assert abs(result.value - closed) <= tol
         assert abs(qfi_m_site_closed(fn(theta), step) - closed) <= tol
 
+    @pytest.mark.parametrize("probe, n, centre", [
+        ("ghz", 2, 0.0),
+        ("ghz", 2, np.pi / 4),
+        ("ghz", 3, np.pi / 6),
+        ("ghz", 4, np.pi / 8),
+        ("product", 3, 0.0),
+    ])
+    def test_sweep_around_stationary_angles(self, probe, n, centre):
+        # offsets 0 and +/-1e-k, k = 2..10: the rule must move between the
+        # ratio and the limit without raising or jumping, on the closed-form
+        # scan columns and on the general route in both step modes
+        psi = ghz_state(n) if probe == "ghz" else product_plus_state(n)
+        closed = qfi_ghz_closed if probe == "ghz" else qfi_product_closed
+        fn = z_pair_fn(psi)
+        offsets = [0.0] + [sign * 10.0**-k for k in range(2, 11) for sign in (1, -1)]
+        for theta in centre + np.array(offsets):
+            want = closed(n, theta)
+            got = {col: _scan_value(col, probe, n, theta) for col in ("cfi_lst", "cfi_lbm")}
+            for step in (0.0, DEFAULT_STEP):
+                got[f"re_step{step:g}"] = qfi_re_general(fn, theta, step).value
+            for route, value in got.items():
+                assert abs(value - want) <= 1e-6 * want, (route, theta, value, want)
+
     def test_negative_denominator_aborts(self):
         coeffs = np.array([1.0, 1.0, 0.0, 1.0])  # infeasible: signed sum < 0
         signed = subset_transform(coeffs, WALSH_KERNEL)
         assert signed.min() < -1e-8
         with pytest.raises(RuntimeError, match="PSD"):
-            fisher_from_coefficients(coeffs, np.zeros(4))
+            fisher_from_coefficients(coeffs, np.zeros(4), np.zeros(4))

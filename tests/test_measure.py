@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from framefree.cli import _scan_value
 from framefree.fisher import (
     fisher_from_coefficients,
     qfi_ghz_closed,
@@ -19,7 +20,6 @@ from framefree.measure import (
     cfi_gst,
     cfi_gst_from_overlap,
     cfi_lbm,
-    cfi_lbm_from_coefficients,
     cfi_lst,
     default_window,
     estimation_experiment,
@@ -34,6 +34,7 @@ from framefree.states import RE, HamiltonianSpec, ghz_state, make_pair
 from framefree.tensor import hamming
 from framefree.twirl import (
     ghz_coefficient_derivatives,
+    ghz_coefficient_second_derivatives,
     ghz_coefficients,
     ghz_lui,
     lui_coefficients,
@@ -187,7 +188,8 @@ class TestLocalSwapTest:
             for theta in (0.2, 0.8, 1.3):
                 c = ghz_coefficients(n, theta)
                 dc = ghz_coefficient_derivatives(n, theta)
-                got = fisher_from_coefficients(c, dc)[0]
+                ddc = ghz_coefficient_second_derivatives(n, theta)
+                got = fisher_from_coefficients(c, dc, ddc)
                 want = qfi_ghz_closed(n, theta)
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
@@ -228,9 +230,8 @@ class TestLocalBellReadout:
     def test_saturates_twirled_information(self):
         for n in (2, 3, 4):
             for theta in (0.2, 0.8, 1.3):
-                c = ghz_coefficients(n, theta)
-                dc = ghz_coefficient_derivatives(n, theta)
-                got = cfi_lbm_from_coefficients(c, dc)
+                # the scan column: closed-form c, c' and c'' through the one sum
+                got = _scan_value("cfi_lbm", "ghz", n, theta)
                 want = qfi_ghz_closed(n, theta)
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
@@ -251,7 +252,8 @@ class TestStrategyOrdering:
             assert cfi_gst_from_overlap(s, ds, limit=8.0) <= ceiling
             c = ghz_coefficients(n, theta)
             dc = ghz_coefficient_derivatives(n, theta)
-            assert fisher_from_coefficients(c, dc)[0] <= ceiling
+            ddc = ghz_coefficient_second_derivatives(n, theta)
+            assert fisher_from_coefficients(c, dc, ddc) <= ceiling
 
     def test_probability_route_matches_general_path(self, rng):
         # dual route: outcome-model CFI vs coefficient-path information

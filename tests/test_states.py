@@ -75,6 +75,14 @@ class TestHamiltonianSpec:
         expected = np.kron(np.eye(2), z) / 2 + np.kron(z, np.eye(2)) / 2
         assert np.allclose(h.dense_matrix(), expected)
 
+    def test_z_diagonal_built_once_read_only(self):
+        h = HamiltonianSpec.pauli_z_sum(3, weights=[0.5, 0.25, 1.0])
+        diag = h.z_diagonal()
+        assert diag is h.z_diagonal()
+        assert not diag.flags.writeable
+        assert np.allclose(diag, np.diag(h.dense_matrix()).real)
+        assert np.isclose(diag[0], 1.75) and np.isclose(diag[-1], -1.75)
+
 
 class TestEvolve:
     def test_zero_angle_identity(self, rng):

@@ -283,6 +283,9 @@ def test_subset_transform_matches_explicit_sums(rng, n, d):
     for kernel, want in zip(kernels, _explicit_sums(v, d)):
         got = subset_transform(v, kernel)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        # a stack is transformed row by row along its last axis
+        stacked = subset_transform([v, 2.0 * v, -v], kernel)
+        assert np.array_equal(stacked, [got, 2.0 * got, -got])
 
 
 def test_subset_transform_rejects_bad_length():
