@@ -18,70 +18,53 @@ from pathlib import Path
 import numpy as np
 
 from . import fisher, measure, twirl, verify
-from .measure import OutcomeDistribution
 from .states import HamiltonianSpec, IE, RE, ghz_state, make_pair, product_plus_state
-from .tensor import QuditLayout, StateVector
+from .tensor import QuditLayout, StateVector, popcounts
+from .twirl import PROBES
 
 DEFAULT_SEED = 0xC0FFEE
-PROBES = ("ghz", "product")
 SCAN_STRATEGIES = ("qfi_re", "qfi_ie", "qfi_gui", "f0",
                    "cfi_dm", "cfi_grm", "cfi_gst", "cfi_lst", "cfi_lbm")
-ESTIMATE_STRATEGIES = ("lbm", "dm", "gst")
+ESTIMATE_READOUTS = {"lbm": measure.probs_lbm, "dm": measure.probs_dm, "gst": measure.probs_gst}
 
 
-# -- closed-form probe models (half-weight Z sum encoding)
+# -- closed-form scan columns
 
 
-def _probe_overlap(probe: str, n: int, theta: float):
-    if probe == "ghz":
-        s = math.cos(n * theta) ** 2
-        ds = -n * math.sin(2.0 * n * theta)
-    else:
-        c = math.cos(theta)
-        s = c ** (2 * n)
-        ds = -2.0 * n * c ** (2 * n - 1) * math.sin(theta)
-    return s, ds
-
-
-def _probe_coeffs(probe: str, n: int, theta: float):
-    if probe == "ghz":
-        return (twirl.ghz_coefficients(n, theta),
-                twirl.ghz_coefficient_derivatives(n, theta),
-                twirl.ghz_coefficient_second_derivatives(n, theta))
-    return (twirl.product_coefficients(n, theta),
-            twirl.product_coefficient_derivatives(n, theta),
-            twirl.product_coefficient_second_derivatives(n, theta))
-
-
-def _probe_f0(probe: str, n: int) -> float:
-    return 2.0 * n * n if probe == "ghz" else 2.0 * n
-
-
-def _probe_lui(probe: str, n: int, theta: float) -> twirl.LuiState:
-    if probe == "ghz":
-        return twirl.ghz_lui(n, theta)
-    return twirl.product_lui(n, theta)
-
-
-def _scan_value(strategy: str, probe: str, n: int, theta: float) -> float:
-    if strategy == "qfi_re":
-        return fisher.qfi_ghz_closed(n, theta) if probe == "ghz" else fisher.qfi_product_closed(n, theta)
-    if strategy == "qfi_ie":
-        return 0.0  # identical encoding with a one-local generator carries nothing
-    if strategy == "f0":
-        return _probe_f0(probe, n)
-    s, ds = _probe_overlap(probe, n, theta)
-    if strategy in ("qfi_gui", "cfi_gst"):
-        return measure.cfi_gst_from_overlap(s, ds, limit=_probe_f0(probe, n))
-    if strategy == "cfi_dm":
-        return measure.cfi_dm_from_overlap(s, ds, n)
-    if strategy == "cfi_grm":
-        return measure.cfi_grm_from_overlap(s, ds, n)
-    if strategy in ("cfi_lst", "cfi_lbm"):
-        # the Bell readout splits each swap-test class into equal-probability
-        # patterns, which leaves the information sum unchanged
-        return fisher.fisher_from_coefficients(*_probe_coeffs(probe, n, theta))
-    raise ValueError(f"unknown strategy {strategy!r}")
+def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
+    """Each requested column over the whole theta grid, from one evaluation
+    of the closed-form overlaps."""
+    series = twirl.closed_overlaps(probe, n, grid)
+    s, ds = series[0, :, n], series[1, :, n]
+    # for a pure probe s''(0) = -8 Var H = -f0
+    f0 = -twirl.closed_overlaps(probe, n, 0.0)[2, n]
+    columns, swap_info = {}, None
+    for strategy in strategies:
+        if strategy == "qfi_re":
+            closed = fisher.qfi_ghz_closed if probe == "ghz" else fisher.qfi_product_closed
+            columns[strategy] = closed(n, grid)
+        elif strategy == "qfi_ie":
+            # identical encoding with a one-local generator carries nothing
+            columns[strategy] = np.zeros_like(grid)
+        elif strategy == "f0":
+            columns[strategy] = np.full_like(grid, f0)
+        elif strategy in ("qfi_gui", "cfi_gst"):
+            columns[strategy] = measure.cfi_gst_from_overlap(s, ds, limit=f0)
+        elif strategy == "cfi_dm":
+            columns[strategy] = measure.cfi_dm_from_overlap(s, ds, n)
+        elif strategy == "cfi_grm":
+            columns[strategy] = measure.cfi_grm_from_overlap(s, ds, n)
+        elif strategy in ("cfi_lst", "cfi_lbm"):
+            # the Bell readout splits each swap-test class into equal-probability
+            # patterns, which leaves the information sum unchanged
+            if swap_info is None:
+                weights = popcounts(n)
+                swap_info = np.array([fisher.fisher_from_coefficients(*series[:, i, weights])
+                                      for i in range(grid.size)])
+            columns[strategy] = swap_info
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+    return columns
 
 
 def run_scan(cfg: dict) -> dict:
@@ -105,13 +88,13 @@ def run_scan(cfg: dict) -> dict:
     if not strategies:
         raise ValueError("no strategies requested")
     grid = np.linspace(lo, hi, points)
+    columns = _scan_columns(probe, n, grid, strategies)
+    table = np.column_stack([grid] + [columns[s] for s in strategies])
     out = Path(cfg["out"])
     with open(out, "w", newline="") as fh:
         fh.write("theta," + ",".join(strategies) + "\n")
-        for theta in grid:
-            row = [f"{theta:.12g}"]
-            row += [f"{_scan_value(s, probe, n, float(theta)):.12g}" for s in strategies]
-            fh.write(",".join(row) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
     meta = {
         "probe": probe,
         "sites": n,
@@ -253,21 +236,6 @@ def run_verify(suite: str, seed: int) -> dict:
 # -- estimation
 
 
-def _estimate_model(probe: str, n: int, strategy: str):
-    if strategy == "lbm":
-        return lambda t: measure.probs_lbm(_probe_lui(probe, n, t))
-    if strategy == "dm":
-        return lambda t: measure.probs_dm(_probe_lui(probe, n, t))
-    if strategy == "gst":
-        def model(t: float) -> OutcomeDistribution:
-            s, _ = _probe_overlap(probe, n, t)
-            return OutcomeDistribution(("+", "-"), np.array([(1 + s) / 2, (1 - s) / 2]),
-                                       t, measure.GST)
-
-        return model
-    raise ValueError(f"estimate strategy must be one of {ESTIMATE_STRATEGIES}")
-
-
 def run_estimate(cfg: dict) -> dict:
     probe, n = cfg["probe"], int(cfg["sites"])
     if probe not in PROBES:
@@ -280,7 +248,13 @@ def run_estimate(cfg: dict) -> dict:
     if reps < 2:
         raise ValueError("reps must be at least 2")
     true_theta = float(cfg["true_theta"])
-    model = _estimate_model(probe, n, strategy)
+    if strategy not in tuple(ESTIMATE_READOUTS):  # a tuple also turns away unhashable values
+        raise ValueError(f"estimate strategy must be one of {tuple(ESTIMATE_READOUTS)}")
+    readout = ESTIMATE_READOUTS[strategy]
+
+    def model(t: float) -> measure.OutcomeDistribution:
+        return readout(twirl.closed_lui(probe, n, t))
+
     run = measure.estimation_experiment(model, true_theta, shots, reps, int(cfg["seed"]))
     return {
         "probe": probe,
@@ -344,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="sample-and-estimate against the CRB")
     est.add_argument("--probe", choices=PROBES)
     est.add_argument("--sites", type=int)
-    est.add_argument("--strategies", dest="strategy", choices=ESTIMATE_STRATEGIES)
+    est.add_argument("--strategies", dest="strategy", choices=tuple(ESTIMATE_READOUTS))
     est.add_argument("--true-theta", type=float, dest="true_theta")
     est.add_argument("--shots", type=int)
     est.add_argument("--reps", type=int)

@@ -188,16 +188,18 @@ def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     return fisher_from_coefficients(*series[:, _submasks(support)])
 
 
-def qfi_product_closed(n: int, theta: float) -> float:
-    """Closed form for the product-plus probe under the half-weight Z sum."""
-    c = math.cos(theta) ** 2
+def qfi_product_closed(n: int, theta):
+    """Closed form for the product-plus probe under the half-weight Z sum,
+    elementwise over arrays of angles."""
+    c = np.cos(theta) ** 2
     return 4.0 * n * c / (1.0 + c)
 
 
-def qfi_ghz_closed(n: int, theta: float) -> float:
-    """Closed form for the GHZ probe under the half-weight Z sum."""
-    s = math.sin(n * theta) ** 2
-    c = math.cos(n * theta) ** 2
+def qfi_ghz_closed(n: int, theta):
+    """Closed form for the GHZ probe under the half-weight Z sum, elementwise
+    over arrays of angles."""
+    s = np.sin(n * theta) ** 2
+    c = np.cos(n * theta) ** 2
     return 2.0 * n * n * (1.0 - s / (c + 2.0 ** (n - 1)))
 
 

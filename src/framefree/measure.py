@@ -88,8 +88,9 @@ def probs_dm(lui: LuiState) -> OutcomeDistribution:
     return OutcomeDistribution(labels, probs, lui.theta, DM, multiplicity=mult)
 
 
-def cfi_dm_from_overlap(s: float, ds: float, n_sites: int, local_dim: int = 2) -> float:
-    """Closed form driven by the full-state overlap, exact for GHZ probes."""
+def cfi_dm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
+    """Closed form driven by the full-state overlap, exact for GHZ probes.
+    Elementwise over arrays of angles."""
     d = local_dim
     total = sum(
         math.comb(n_sites, k) * ds * ds / (d**k + (-1.0) ** k * s)
@@ -106,7 +107,7 @@ def cfi_dm(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
 # -- globally randomized computational-basis readout
 
 
-def cfi_grm_from_overlap(s: float, ds: float, n_sites: int, local_dim: int = 2) -> float:
+def cfi_grm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
     dn = float(local_dim) ** n_sites
     return ds * ds / (dn + (dn - 1.0) * s - s * s)
 
@@ -119,25 +120,30 @@ def cfi_grm(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
 # -- global swap test
 
 
-def probs_gst(pair: EncodedPair) -> OutcomeDistribution:
-    """Ancilla readout of the global swap test: p_+/- = (1 +/- <S>)/2."""
-    s = global_overlap(pair)
+def probs_gst(lui: LuiState) -> OutcomeDistribution:
+    """Ancilla readout of the global swap test: p_+/- = (1 +/- <S>)/2, with
+    <S> the full-mask overlap.  The full swap commutes with collective
+    rotations, so the local twirl keeps <S>."""
+    s = lui.coeffs[-1]
     return OutcomeDistribution(("+", "-"), np.array([(1 + s) / 2, (1 - s) / 2]),
-                               pair.theta, GST)
+                               lui.theta, GST)
 
 
-def cfi_gst_from_overlap(s: float, ds: float, limit: float | None = None) -> float:
+def cfi_gst_from_overlap(s, ds, limit: float | None = None):
     """(ds)^2 / (1 - s^2), or `limit` (the information at the stationary
-    point) once 1 - s^2 falls under the floor.  There (ds)^2 is at most about
-    limit * (1 - s^2); a derivative beyond twice that scale is inconsistent."""
+    point) where 1 - s^2 falls under the floor.  There (ds)^2 is at most about
+    limit * (1 - s^2); a derivative beyond twice that scale is inconsistent.
+    Elementwise over arrays of angles; a scalar for scalar input."""
+    s, ds = np.asarray(s, dtype=float), np.asarray(ds, dtype=float)
     denom = 1.0 - s * s
-    if denom < OVERLAP_FLOOR:
-        if limit is None:
-            raise RuntimeError("stationary overlap: supply the small-angle limit")
-        if ds * ds > 2.0 * limit * OVERLAP_FLOOR:
-            raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
-        return limit
-    return ds * ds / denom
+    stationary = denom < OVERLAP_FLOOR
+    if not stationary.any():
+        return (ds * ds / denom)[()]
+    if limit is None:
+        raise RuntimeError("stationary overlap: supply the small-angle limit")
+    if np.any(ds[stationary] ** 2 > 2.0 * limit * OVERLAP_FLOOR):
+        raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
+    return np.where(stationary, limit, ds * ds / np.where(stationary, 1.0, denom))[()]
 
 
 def cfi_gst(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
@@ -184,14 +190,6 @@ def probs_lbm(lui: LuiState) -> OutcomeDistribution:
     mult = 3 ** (n - popcounts(n))
     labels = tuple(f"singlet:{b:0{n}b}" for b in range(1 << n))
     return OutcomeDistribution(labels, _class_probs(lui), lui.theta, LBM, multiplicity=mult)
-
-
-def cfi_lst(lui_fn, theta: float, step: float = DEFAULT_STEP) -> float:
-    return cfi(lambda t: probs_lst(lui_fn(t)), theta, step)
-
-
-def cfi_lbm(lui_fn, theta: float, step: float = DEFAULT_STEP) -> float:
-    return cfi(lambda t: probs_lbm(lui_fn(t)), theta, step)
 
 
 # -- sampling and estimation

@@ -15,6 +15,7 @@ All values are immutable after construction and every operation is a pure
 function; concurrent use only requires independently seeded generators.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -48,11 +49,14 @@ def hamming(mask: int) -> int:
     return mask.bit_count()
 
 
+@functools.cache
 def popcounts(n_bits: int) -> np.ndarray:
-    """Number of set bits of every mask below 2^n_bits, indexed by mask."""
+    """Number of set bits of every mask below 2^n_bits, indexed by mask.
+    Built once per n_bits and shared, so the table is read-only."""
     table = np.zeros(1, dtype=np.int64)
     for _ in range(n_bits):
         table = np.concatenate([table, table + 1])
+    table.flags.writeable = False
     return table
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import IE, RE, MODES, EncodedPair
+from .states import IE, RE, EncodedPair
 from .tensor import (
     DensityOperator,
     QuditLayout,
@@ -126,75 +126,63 @@ def lui_coefficients(pair: EncodedPair) -> LuiState:
     return LuiState(pair.layout, swap_overlaps(pair, 0)[0], pair.mode, pair.theta)
 
 
-# -- closed-form coefficient models (GHZ and product probes, 1/2-weight Z sum)
+# -- closed-form probe model (GHZ and product-plus probes, 1/2-weight Z sum,
+# reversed encoding)
+
+PROBES = ("ghz", "product")
 
 
-def ghz_coefficients(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    """GHZ-probe coefficients: 1 at the empty mask, 1/2 in between, and
-    cos^2(n*theta) (reversed mode) at the full mask."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    c = np.full(1 << n, 0.5)
-    c[0] = 1.0
-    c[-1] = math.cos(n * theta) ** 2 if mode == RE else 1.0
-    return c
+def closed_overlaps(probe: str, n: int, theta, order: int = 2) -> np.ndarray:
+    """Closed-form overlaps of the GHZ or product-plus probe and their first
+    `order` exact theta derivatives, for any array of angles.
 
-
-def ghz_coefficient_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    dc = np.zeros(1 << n)
-    if mode == RE:
-        dc[-1] = -n * math.sin(2.0 * n * theta)
-    return dc
-
-
-def ghz_coefficient_second_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    ddc = np.zeros(1 << n)
-    if mode == RE:
-        ddc[-1] = -2.0 * n * n * math.cos(2.0 * n * theta)
-    return ddc
-
-
-def product_coefficients(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    """Product-plus-probe coefficients: cos(theta)^(2|a|) in reversed mode."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == IE:
-        return np.ones(1 << n)
-    ham = popcounts(n)
-    return np.cos(theta) ** (2 * ham)
-
-
-def product_coefficient_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    if mode == IE:
-        return np.zeros(1 << n)
-    ham = popcounts(n)
-    out = np.zeros(1 << n)
-    nz = ham > 0
-    out[nz] = -ham[nz] * math.sin(2.0 * theta) * np.cos(theta) ** (2 * ham[nz] - 2)
+    Both probes are symmetric under site permutation, so c_a depends only on
+    the weight |a|: entry [k, ..., w] of the (order + 1, *theta.shape, n + 1)
+    result is d^k c_a / dtheta^k for |a| = w.  Expand with `popcounts(n)`.
+    The GHZ overlaps are 1 at the empty mask, cos^2(n theta) at the full
+    mask and 1/2 in between; the product overlaps are cos(theta)^(2w).
+    """
+    if probe not in PROBES:
+        raise ValueError(f"probe must be one of {PROBES}")
+    if not 0 <= order <= 2:
+        raise ValueError("closed forms are given up to the second derivative")
+    t = np.asarray(theta, dtype=float)[..., None]
+    w = np.arange(n + 1)
+    out = np.zeros((order + 1,) + t.shape[:-1] + (n + 1,))
+    if probe == "ghz":
+        nt = n * t[..., 0]
+        out[0] = 0.5
+        out[0, ..., 0] = 1.0
+        out[0, ..., n] = np.cos(nt) ** 2
+        if order > 0:
+            out[1, ..., n] = -n * np.sin(2.0 * nt)
+        if order > 1:
+            out[2, ..., n] = -2.0 * n * n * np.cos(2.0 * nt)
+    else:
+        cos = np.cos(t)
+        out[0] = cos ** (2 * w)
+        if order > 0:
+            # cos^(2w - 2), kept finite at w = 0 where the factor w clears it
+            inner = cos ** np.maximum(2 * w - 2, 0)
+            out[1] = -w * np.sin(2.0 * t) * inner
+        if order > 1:
+            out[2] = w * inner * (4.0 * (w - 1) * np.sin(t) ** 2 - 2.0 * np.cos(2.0 * t))
     return out
 
 
-def product_coefficient_second_derivatives(n: int, theta: float, mode: str = RE) -> np.ndarray:
-    if mode == IE:
-        return np.zeros(1 << n)
-    ham = popcounts(n)
-    out = np.zeros(1 << n)
-    nz = ham > 0
-    k = ham[nz]
-    out[nz] = -2.0 * k * math.cos(2.0 * theta) * np.cos(theta) ** (2 * k - 2)
-    deep = ham > 1  # the second term carries a factor (2k - 2) and vanishes at k = 1
-    k = ham[deep]
-    out[deep] += (k * (2 * k - 2) * math.sin(2.0 * theta) * math.sin(theta)
-                  * np.cos(theta) ** (2 * k - 3))
-    return out
+def closed_lui(probe: str, n: int, theta: float) -> LuiState:
+    """Twirled two-copy state of the GHZ or product-plus probe under the
+    half-weight Z sum, reversed encoding."""
+    coeffs = closed_overlaps(probe, n, theta, 0)[0][popcounts(n)]
+    return LuiState(QuditLayout(n, 2, 1), coeffs, RE, theta)
 
 
-def ghz_lui(n: int, theta: float, mode: str = RE) -> LuiState:
-    return LuiState(QuditLayout(n, 2, 1), ghz_coefficients(n, theta, mode), mode, theta)
+def ghz_lui(n: int, theta: float) -> LuiState:
+    return closed_lui("ghz", n, theta)
 
 
-def product_lui(n: int, theta: float, mode: str = RE) -> LuiState:
-    return LuiState(QuditLayout(n, 2, 1), product_coefficients(n, theta, mode), mode, theta)
+def product_lui(n: int, theta: float) -> LuiState:
+    return closed_lui("product", n, theta)
 
 
 # -- dense assembly

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from framefree.cli import _scan_value
+from framefree.cli import _scan_columns
 from framefree.fisher import (
     fisher_from_coefficients,
     lui_spectrum,
@@ -28,18 +28,13 @@ from framefree.measure import (
     probs_lbm,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
-from framefree.tensor import QuditLayout, StateVector
+from framefree.tensor import QuditLayout, StateVector, popcounts
 from framefree.twirl import (
-    ghz_coefficient_derivatives,
-    ghz_coefficient_second_derivatives,
-    ghz_coefficients,
+    closed_overlaps,
     ghz_lui,
     lui_coefficients,
     lui_density,
     mc_local_twirl,
-    product_coefficient_derivatives,
-    product_coefficient_second_derivatives,
-    product_coefficients,
     swap_overlaps,
 )
 from framefree.verify import CommutantQuery, commutant_dimension, invariance_suite, trace_distance
@@ -143,17 +138,12 @@ def test_c05_swap_readouts_saturate():
     worst = 0.0
     grid = _grid_with_margin(4, 50, 0.012)
     for n in (1, 2, 3, 4):
-        for probe, coeffs_fn, dcoeffs_fn, ddcoeffs_fn, closed in (
-            ("ghz", ghz_coefficients, ghz_coefficient_derivatives,
-             ghz_coefficient_second_derivatives, qfi_ghz_closed),
-            ("product", product_coefficients, product_coefficient_derivatives,
-             product_coefficient_second_derivatives, qfi_product_closed),
-        ):
+        for probe, closed in (("ghz", qfi_ghz_closed), ("product", qfi_product_closed)):
             for theta in grid:
-                c, dc, ddc = coeffs_fn(n, theta), dcoeffs_fn(n, theta), ddcoeffs_fn(n, theta)
+                c, dc, ddc = closed_overlaps(probe, n, theta)[:, popcounts(n)]
                 want = closed(n, theta)
                 lst = fisher_from_coefficients(c, dc, ddc)
-                lbm = _scan_value("cfi_lbm", probe, n, theta)
+                lbm = _scan_columns(probe, n, np.array([theta]), ("cfi_lbm",))["cfi_lbm"][0]
                 scale = max(want, 1.0)
                 worst = max(worst, abs(lst - want) / scale, abs(lbm - want) / scale)
     # same statement through the numeric pipeline on a random probe

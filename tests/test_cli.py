@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framefree.cli import main, run_verify
+from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_verify
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -111,6 +111,17 @@ class TestScan:
         tol = 6.0 * (1e-9 + rel)
         for col in (1, 2):
             assert np.all(np.abs(rows[:, col] - want) <= tol)
+
+    @pytest.mark.parametrize("probe, n", [("ghz", 4), ("product", 3)])
+    def test_grid_columns_match_single_angles(self, probe, n):
+        # the grid holds theta = 0 and the GHZ N=4 zeros k pi/8
+        grid = np.linspace(0.0, np.pi / 2, 41)
+        columns = _scan_columns(probe, n, grid, SCAN_STRATEGIES)
+        for i in range(grid.size):
+            alone = _scan_columns(probe, n, grid[i:i + 1], SCAN_STRATEGIES)
+            for name, col in columns.items():
+                np.testing.assert_allclose(col[i], alone[name][0], rtol=1e-12, atol=0,
+                                           err_msg=f"{name} at {grid[i]}")
 
     def test_step_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

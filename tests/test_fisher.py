@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framefree.cli import _scan_value
+from framefree.cli import _scan_columns
 from framefree.fisher import (
     DEFAULT_STEP,
     f0,
@@ -381,7 +381,8 @@ class TestDenominatorRule:
         offsets = [0.0] + [sign * 10.0**-k for k in range(2, 11) for sign in (1, -1)]
         for theta in centre + np.array(offsets):
             want = closed(n, theta)
-            got = {col: _scan_value(col, probe, n, theta) for col in ("cfi_lst", "cfi_lbm")}
+            got = {col: v[0] for col, v in
+                   _scan_columns(probe, n, np.array([theta]), ("cfi_lst", "cfi_lbm")).items()}
             for step in (0.0, DEFAULT_STEP):
                 got[f"re_step{step:g}"] = qfi_re_general(fn, theta, step).value
             for route, value in got.items():

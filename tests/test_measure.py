@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framefree.cli import _scan_value
+from framefree.cli import _scan_columns
 from framefree.fisher import (
     fisher_from_coefficients,
     qfi_ghz_closed,
@@ -19,8 +19,6 @@ from framefree.measure import (
     cfi_grm_from_overlap,
     cfi_gst,
     cfi_gst_from_overlap,
-    cfi_lbm,
-    cfi_lst,
     default_window,
     estimation_experiment,
     mle_estimate,
@@ -30,19 +28,18 @@ from framefree.measure import (
     probs_lst,
     sample_outcomes,
 )
-from framefree.states import RE, HamiltonianSpec, ghz_state, make_pair
-from framefree.tensor import hamming
+from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair
+from framefree.tensor import QuditLayout, hamming, popcounts
 from framefree.twirl import (
-    ghz_coefficient_derivatives,
-    ghz_coefficient_second_derivatives,
-    ghz_coefficients,
+    closed_overlaps,
     ghz_lui,
+    global_overlap,
     lui_coefficients,
     lui_density,
     product_lui,
 )
 
-from conftest import random_state
+from conftest import random_hermitian, random_state
 
 
 def ghz_pair(n, theta):
@@ -142,9 +139,21 @@ class TestGrmReadout:
 
 class TestGlobalSwapTest:
     def test_probs_complete(self):
-        dist = probs_gst(ghz_pair(2, 0.6))
+        dist = probs_gst(lui_coefficients(ghz_pair(2, 0.6)))
         assert np.isclose(dist.probs.sum(), 1.0, atol=1e-12)
         assert np.isclose(dist.probs[0], (1 + math.cos(1.2) ** 2) / 2, atol=1e-12)
+
+    def test_twirl_keeps_the_full_swap(self, rng):
+        # the full swap commutes with collective rotations, so the twirled
+        # coefficients carry <S> = Tr(rho_+ rho_-) unchanged
+        for n, d in ((1, 2), (3, 2), (1, 3), (2, 3)):
+            lay = QuditLayout(n, d, 1)
+            h = HamiltonianSpec.dense(lay, random_hermitian(lay.dim, rng))
+            for mode in (RE, IE):
+                pair = make_pair(random_state(n, rng, d), h, 0.7, mode)
+                s = global_overlap(pair)
+                dist = probs_gst(lui_coefficients(pair))
+                assert np.allclose(dist.probs, [(1 + s) / 2, (1 - s) / 2], rtol=0, atol=1e-12)
 
     def test_equals_global_twirl_information(self):
         for theta in (0.15, 0.5, 1.0):
@@ -186,15 +195,13 @@ class TestLocalSwapTest:
     def test_saturates_twirled_information(self):
         for n in (2, 3, 4):
             for theta in (0.2, 0.8, 1.3):
-                c = ghz_coefficients(n, theta)
-                dc = ghz_coefficient_derivatives(n, theta)
-                ddc = ghz_coefficient_second_derivatives(n, theta)
+                c, dc, ddc = closed_overlaps("ghz", n, theta)[:, popcounts(n)]
                 got = fisher_from_coefficients(c, dc, ddc)
                 want = qfi_ghz_closed(n, theta)
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
     def test_generic_helper_route(self):
-        got = cfi_lst(lambda t: ghz_lui(2, t), 0.37)
+        got = cfi(lambda t: probs_lst(ghz_lui(2, t)), 0.37)
         want = qfi_ghz_closed(2, 0.37)
         assert abs(got - want) < 1e-6
 
@@ -231,12 +238,12 @@ class TestLocalBellReadout:
         for n in (2, 3, 4):
             for theta in (0.2, 0.8, 1.3):
                 # the scan column: closed-form c, c' and c'' through the one sum
-                got = _scan_value("cfi_lbm", "ghz", n, theta)
+                got = _scan_columns("ghz", n, np.array([theta]), ("cfi_lbm",))["cfi_lbm"][0]
                 want = qfi_ghz_closed(n, theta)
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
     def test_generic_helper_route(self):
-        got = cfi_lbm(lambda t: ghz_lui(2, t), 0.37)
+        got = cfi(lambda t: probs_lbm(ghz_lui(2, t)), 0.37)
         assert abs(got - qfi_ghz_closed(2, 0.37)) < 1e-6
 
 
@@ -250,9 +257,7 @@ class TestStrategyOrdering:
             assert cfi_dm_from_overlap(s, ds, n) <= ceiling
             assert cfi_grm_from_overlap(s, ds, n) <= ceiling
             assert cfi_gst_from_overlap(s, ds, limit=8.0) <= ceiling
-            c = ghz_coefficients(n, theta)
-            dc = ghz_coefficient_derivatives(n, theta)
-            ddc = ghz_coefficient_second_derivatives(n, theta)
+            c, dc, ddc = closed_overlaps("ghz", n, theta)[:, popcounts(n)]
             assert fisher_from_coefficients(c, dc, ddc) <= ceiling
 
     def test_probability_route_matches_general_path(self, rng):
@@ -261,7 +266,7 @@ class TestStrategyOrdering:
         h = HamiltonianSpec.pauli_z_sum(2)
         lui_fn = lambda t: lui_coefficients(make_pair(psi, h, t, RE))
         for theta in (0.3, 0.9):
-            a = cfi_lst(lui_fn, theta)
+            a = cfi(lambda t: probs_lst(lui_fn(t)), theta)
             b = qfi_re_general(lambda t: make_pair(psi, h, t, RE), theta).value
             assert abs(a - b) <= 1e-6 * max(b, 1e-9)
 
@@ -275,13 +280,13 @@ class TestDistributionValidityOverGrid:
             for lui in (ghz_lui(3, theta), product_lui(3, theta)):
                 for dist in (probs_dm(lui), probs_lst(lui), probs_lbm(lui)):
                     assert np.isclose(dist.probs.sum(), 1.0, atol=1e-9)
-            dist = probs_gst(ghz_pair(2, theta))
+            dist = probs_gst(lui_coefficients(ghz_pair(2, theta)))
             assert np.isclose(dist.probs.sum(), 1.0, atol=1e-9)
 
 
 class TestSampling:
     def test_zero_shots_rejected(self, rng):
-        dist = probs_gst(ghz_pair(2, 0.4))
+        dist = probs_gst(lui_coefficients(ghz_pair(2, 0.4)))
         with pytest.raises(ValueError, match="shots"):
             sample_outcomes(dist, 0, rng)
 
@@ -334,7 +339,7 @@ class TestEstimationExperiment:
         assert run.boundary_hits == 0
 
     def test_deterministic(self):
-        model = lambda t: probs_gst(ghz_pair(2, t))
+        model = lambda t: probs_gst(lui_coefficients(ghz_pair(2, t)))
         a = estimation_experiment(model, 0.1, 2_000, 8, seed=5)
         b = estimation_experiment(model, 0.1, 2_000, 8, seed=5)
         assert a.estimate == b.estimate and a.variance == b.variance

@@ -7,15 +7,16 @@ from framefree.tensor import (
     StateVector,
     hamming,
     partial_trace,
+    popcounts,
     ptrace_matrix,
     swap_operator,
     trace_product,
 )
 from framefree.twirl import (
     LuiState,
+    closed_overlaps,
     g_twirl_apply,
-    ghz_coefficient_derivatives,
-    ghz_coefficients,
+    ghz_lui,
     global_overlap,
     global_overlap_derivative,
     gui_density,
@@ -24,9 +25,7 @@ from framefree.twirl import (
     lui_density,
     mc_local_twirl,
     pair_product_density,
-    product_coefficient_derivatives,
-    product_coefficient_second_derivatives,
-    product_coefficients,
+    product_lui,
     swap_overlaps,
 )
 
@@ -170,9 +169,9 @@ class TestLuiCoefficients:
         for n in (1, 2, 3):
             for theta in (0.0, 0.5, 1.2):
                 ghz_num = lui_coefficients(z_sum_pair(ghz_state(n), theta)).coeffs
-                assert np.allclose(ghz_num, ghz_coefficients(n, theta), atol=1e-12)
+                assert np.allclose(ghz_num, ghz_lui(n, theta).coeffs, atol=1e-12)
                 prod_num = lui_coefficients(z_sum_pair(product_plus_state(n), theta)).coeffs
-                assert np.allclose(prod_num, product_coefficients(n, theta), atol=1e-12)
+                assert np.allclose(prod_num, product_lui(n, theta).coeffs, atol=1e-12)
 
     def test_exact_derivatives_match_finite_difference(self, rng):
         psi = random_state(2, rng)
@@ -186,13 +185,32 @@ class TestLuiCoefficients:
     def test_closed_form_derivatives(self):
         h = 1e-6
         for n in (2, 3):
-            fd = (ghz_coefficients(n, 0.4 + h) - ghz_coefficients(n, 0.4 - h)) / (2 * h)
-            assert np.allclose(ghz_coefficient_derivatives(n, 0.4), fd, atol=1e-8)
-            fd = (product_coefficients(n, 0.4 + h) - product_coefficients(n, 0.4 - h)) / (2 * h)
-            assert np.allclose(product_coefficient_derivatives(n, 0.4), fd, atol=1e-8)
-            fd2 = (product_coefficient_derivatives(n, 0.4 + h)
-                   - product_coefficient_derivatives(n, 0.4 - h)) / (2 * h)
-            assert np.allclose(product_coefficient_second_derivatives(n, 0.4), fd2, atol=1e-6)
+            ghz = closed_overlaps("ghz", n, [0.4 - h, 0.4, 0.4 + h])[..., popcounts(n)]
+            fd = (ghz[0, 2] - ghz[0, 0]) / (2 * h)
+            assert np.allclose(ghz[1, 1], fd, atol=1e-8)
+            prod = closed_overlaps("product", n, [0.4 - h, 0.4, 0.4 + h])[..., popcounts(n)]
+            fd = (prod[0, 2] - prod[0, 0]) / (2 * h)
+            assert np.allclose(prod[1, 1], fd, atol=1e-8)
+            fd2 = (prod[1, 2] - prod[1, 0]) / (2 * h)
+            assert np.allclose(prod[2, 1], fd2, atol=1e-6)
+
+
+class TestClosedOverlaps:
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_swap_overlaps(self, probe, n):
+        # both probes are symmetric under site permutation: the weight-indexed
+        # closed form, expanded over masks, is every row of the numeric route
+        psi = ghz_state(n) if probe == "ghz" else product_plus_state(n)
+        seeded = np.random.default_rng(n).uniform(0.0, np.pi, 3)
+        angles = np.concatenate([[0.0, np.pi / 2], np.arange(n + 1) * np.pi / (2 * n), seeded])
+        closed = closed_overlaps(probe, n, angles)
+        assert closed.shape == (3, angles.size, n + 1)
+        for order in (0, 1):
+            assert np.array_equal(closed_overlaps(probe, n, angles, order), closed[:order + 1])
+        for i, theta in enumerate(angles):
+            numeric = swap_overlaps(z_sum_pair(psi, theta))
+            assert np.allclose(closed[:, i, popcounts(n)], numeric, rtol=0, atol=1e-11 * n * n)
 
 
 class TestLuiDensity:
