@@ -19,10 +19,11 @@ import numpy as np
 
 from . import fisher, measure, twirl, verify
 from .states import HamiltonianSpec, IE, RE, ghz_state, make_pair, product_plus_state
-from .tensor import QuditLayout, StateVector, popcounts
+from .tensor import QuditLayout, StateVector, swap_operator, trace_product
 from .twirl import PROBES
 
 DEFAULT_SEED = 0xC0FFEE
+MAX_SCAN_SITES = 64  # the range the closed-form scan columns are tested on
 SCAN_STRATEGIES = ("qfi_re", "qfi_ie", "qfi_gui", "f0",
                    "cfi_dm", "cfi_grm", "cfi_gst", "cfi_lst", "cfi_lbm")
 ESTIMATE_READOUTS = {"lbm": measure.probs_lbm, "dm": measure.probs_dm, "gst": measure.probs_gst}
@@ -34,11 +35,10 @@ ESTIMATE_READOUTS = {"lbm": measure.probs_lbm, "dm": measure.probs_dm, "gst": me
 def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
     """Each requested column over the whole theta grid, from one evaluation
     of the closed-form overlaps."""
-    series = twirl.closed_overlaps(probe, n, grid)
-    s, ds = series[0, :, n], series[1, :, n]
+    s, ds = twirl.closed_overlaps(probe, n, grid, 1)[:, :, n]
     # for a pure probe s''(0) = -8 Var H = -f0
     f0 = -twirl.closed_overlaps(probe, n, 0.0)[2, n]
-    columns, swap_info = {}, None
+    columns = {}
     for strategy in strategies:
         if strategy == "qfi_re":
             closed = fisher.qfi_ghz_closed if probe == "ghz" else fisher.qfi_product_closed
@@ -49,7 +49,8 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
         elif strategy == "f0":
             columns[strategy] = np.full_like(grid, f0)
         elif strategy in ("qfi_gui", "cfi_gst"):
-            columns[strategy] = measure.cfi_gst_from_overlap(s, ds, limit=f0)
+            gap = twirl.closed_gap(probe, n, grid)  # 1 - s without cancellation
+            columns[strategy] = measure.cfi_gst_from_overlap(s, gap, ds, limit=f0)
         elif strategy == "cfi_dm":
             columns[strategy] = measure.cfi_dm_from_overlap(s, ds, n)
         elif strategy == "cfi_grm":
@@ -57,11 +58,8 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
         elif strategy in ("cfi_lst", "cfi_lbm"):
             # the Bell readout splits each swap-test class into equal-probability
             # patterns, which leaves the information sum unchanged
-            if swap_info is None:
-                weights = popcounts(n)
-                swap_info = np.array([fisher.fisher_from_coefficients(*series[:, i, weights])
-                                      for i in range(grid.size)])
-            columns[strategy] = swap_info
+            families = twirl.closed_families(probe, n, grid)
+            columns[strategy] = fisher.fisher_from_weight_classes(families)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
     return columns
@@ -71,8 +69,8 @@ def run_scan(cfg: dict) -> dict:
     probe, n = cfg["probe"], int(cfg["sites"])
     if probe not in PROBES:
         raise ValueError(f"probe must be one of {PROBES}")
-    if n < 1:
-        raise ValueError("sites must be positive")
+    if not 1 <= n <= MAX_SCAN_SITES:
+        raise ValueError(f"sites must be between 1 and {MAX_SCAN_SITES}")
     points = int(cfg["theta_points"])
     if points < 2:
         raise ValueError("theta_points must be at least 2")
@@ -138,8 +136,6 @@ def _suite_twirl(seed: int) -> list:
     rng = np.random.default_rng([seed, 17])
     approx = twirl.mc_local_twirl(pair2, 20000, rng)
     coeffs = twirl.lui_coefficients(pair2).coeffs
-    from .tensor import swap_operator, trace_product
-
     lay2 = pair2.layout.two_copy()
     worst = max(
         abs(trace_product(swap_operator(a, lay2), approx.matrix).real - coeffs[a])

@@ -55,38 +55,49 @@ def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
     return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(1 << n)]
 
 
-def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs) -> float:
-    """Information of the invariant state from the overlap coefficients and
-    their first and second derivatives: (1/2^N) times the sum over masks of
-    num^2 / den, with den, num and sec the signed sums of c, c' and c''.
+def information_sum(den, num, sec, mult, r):
+    """(1/2^N) sum of mult num^2 / den over the families on the last axis,
+    2^N = sum(mult); den, num, sec are a family's signed sums of c, c', c''
+    and r the rounding scale of den.  Below -r the state is not PSD; up to r
+    a family is a zero and takes its continuous limit 2 sec (Safranek, PRA
+    95, 052320, 2017), which requires num^2 <= 4 r max(|sec|, 2^N); above r
+    it takes num^2 / den, or 2 sec where the two agree within the ratio's
+    own rounding (double zeros near stationary angles)."""
+    size = mult.sum()
+    if np.any(den < -r):
+        raise RuntimeError(f"denominator {den.min()} is negative: state is not PSD")
+    zero = den <= r
+    pinned = zero & (num * num > 4.0 * r * np.maximum(np.abs(sec), size))
+    if pinned.any():
+        raise RuntimeError("vanishing denominator with non-vanishing numerator "
+                           f"{num[pinned][0]} of family {np.argwhere(pinned)[0, -1]:#x}")
+    den = np.where(zero, 1.0, den)
+    ratio = num * num / den
+    limit = 2.0 * sec
+    at_limit = zero | (np.abs(ratio - limit) * den <= r * ratio)
+    return (mult * np.where(at_limit, limit, ratio)).sum(axis=-1) / size
 
-    Each family is judged against the rounding scale r = SUM_ROUNDING * eps *
-    sum|c| of its denominator.  Below -r the state is not PSD.  Up to r the
-    family is a zero and takes its continuous limit 2 sec (Safranek, PRA 95,
-    052320, 2017), which requires num^2 <= 4 r max(|sec|, 2^N).  Above r it
-    takes num^2 / den, or the limit where the two agree within the ratio's
-    own rounding, which settles double zeros near stationary angles.
-    """
+
+def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs) -> float:
+    """Information of the invariant state from the overlaps c and their exact
+    c' and c'', one family per site mask, r = SUM_ROUNDING * eps * sum|c|."""
     c = np.asarray(coeffs, dtype=float)
     size = c.size
     # centred on c_0 = 1 so the sums near a zero carry no O(1) cancellation
     den, num, sec = subset_transform([c - c[0], dcoeffs, second_dcoeffs], WALSH_KERNEL)
     den[0] += size * c[0]
     r = SUM_ROUNDING * np.finfo(float).eps * np.abs(c).sum()
-    b = int(den.argmin())
-    if den[b] < -r:
-        raise RuntimeError(f"denominator {den[b]} at mask {b:#x} is negative: state is not PSD")
-    zero = den <= r
-    pinned = zero & (num * num > 4.0 * r * np.maximum(np.abs(sec), size))
-    if pinned.any():
-        b = int(pinned.argmax())
-        raise RuntimeError(f"vanishing denominator with non-vanishing numerator {num[b]} "
-                           f"at mask {b:#x}")
-    den = np.where(zero, 1.0, den)
-    ratio = num * num / den
-    limit = 2.0 * sec
-    at_limit = zero | (np.abs(ratio - limit) * den <= r * ratio)
-    return float(np.where(at_limit, limit, ratio).sum() / size)
+    return float(information_sum(den, num, sec, np.ones(size), r))
+
+
+def fisher_from_weight_classes(families) -> np.ndarray:
+    """Information from `twirl.closed_families` (mask weight w, multiplicity
+    C(N, w)), elementwise over the leading axes.  Each den_w is a product of
+    positive factors: r_w = SUM_ROUNDING * eps * den_w, only exact zeros."""
+    den, num, sec = families
+    n = den.shape[-1] - 1
+    mult = np.array([math.comb(n, w) for w in range(n + 1)], dtype=float)
+    return information_sum(den, num, sec, mult, SUM_ROUNDING * np.finfo(float).eps * den)
 
 
 def _overlap_series(pair_fn, theta: float, step: float):
@@ -159,19 +170,6 @@ def qfi_one_site_closed(tr_rho_sq: float, tr_zrz_rho: float, theta: float) -> fl
     return 4.0 * c * c * t / (2.0 - s * s * t)
 
 
-def _submasks(support: int) -> list[int]:
-    """Full-register masks for every subset of the support, subset-bit order."""
-    bits = [i for i in range(support.bit_length()) if (support >> i) & 1]
-    out = []
-    for sub in range(1 << len(bits)):
-        mask = 0
-        for j, site in enumerate(bits):
-            if (sub >> j) & 1:
-                mask |= 1 << site
-        out.append(mask)
-    return out
-
-
 def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     """Restricted sum over encoded-site masks only, prefactor 1/2^m.
 
@@ -185,7 +183,9 @@ def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     if support == 0:
         raise ValueError("the generator has empty support")
     _, series = _overlap_series(pair.at, pair.theta, step)
-    return fisher_from_coefficients(*series[:, _submasks(support)])
+    # every subset of the support; increasing order is the restricted register's bit order
+    submasks = [mask for mask in range(support + 1) if mask & support == mask]
+    return fisher_from_coefficients(*series[:, submasks])
 
 
 def qfi_product_closed(n: int, theta):

@@ -23,7 +23,6 @@ PROB_SUM_ATOL = 1e-9
 OVERLAP_FLOOR = 1e-12
 
 DM = "dm"
-GRM = "grm"
 GST = "gst"
 LST = "lst"
 LBM = "lbm"
@@ -129,13 +128,14 @@ def probs_gst(lui: LuiState) -> OutcomeDistribution:
                                lui.theta, GST)
 
 
-def cfi_gst_from_overlap(s, ds, limit: float | None = None):
-    """(ds)^2 / (1 - s^2), or `limit` (the information at the stationary
-    point) where 1 - s^2 falls under the floor.  There (ds)^2 is at most about
-    limit * (1 - s^2); a derivative beyond twice that scale is inconsistent.
-    Elementwise over arrays of angles; a scalar for scalar input."""
-    s, ds = np.asarray(s, dtype=float), np.asarray(ds, dtype=float)
-    denom = 1.0 - s * s
+def cfi_gst_from_overlap(s, gap, ds, limit: float | None = None):
+    """(ds)^2 / (1 - s^2) = (ds)^2 / (gap (1 + s)), with gap = 1 - s as
+    accurate as the caller can give it; `limit` (the information at the
+    stationary point) where 1 - s^2 falls under the floor, where a (ds)^2
+    beyond twice limit * (1 - s^2) is inconsistent.  Elementwise over arrays
+    of angles; a scalar for scalar input."""
+    s, gap, ds = (np.asarray(x, dtype=float) for x in (s, gap, ds))
+    denom = gap * (1.0 + s)
     stationary = denom < OVERLAP_FLOOR
     if not stationary.any():
         return (ds * ds / denom)[()]
@@ -148,7 +148,7 @@ def cfi_gst_from_overlap(s, ds, limit: float | None = None):
 
 def cfi_gst(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     s, ds = _overlap_and_derivative(pair, step)
-    return cfi_gst_from_overlap(s, ds, limit=f0(pair.initial, pair.hamiltonian))
+    return cfi_gst_from_overlap(s, 1.0 - s, ds, limit=f0(pair.initial, pair.hamiltonian))
 
 
 def _overlap_and_derivative(pair: EncodedPair, step: float):

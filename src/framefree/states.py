@@ -16,8 +16,6 @@ IE = "ie"
 RE = "re"
 MODES = (IE, RE)
 
-PAULI_Z = np.diag([1.0 + 0j, -1.0 + 0j])
-
 
 def _site_signs(n: int) -> np.ndarray:
     """(2^n x n) table of the Z eigenvalue 1 - 2 * bit of each site per basis index."""

@@ -115,9 +115,6 @@ class QuditLayout:
     def single_copy_dim(self) -> int:
         return self.local_dim ** self.n_sites
 
-    def single_copy(self) -> "QuditLayout":
-        return QuditLayout(self.n_sites, self.local_dim, 1)
-
     def two_copy(self) -> "QuditLayout":
         return QuditLayout(self.n_sites, self.local_dim, 2)
 

@@ -170,6 +170,49 @@ def closed_overlaps(probe: str, n: int, theta, order: int = 2) -> np.ndarray:
     return out
 
 
+def closed_families(probe: str, n: int, theta) -> np.ndarray:
+    """Signed swap-test sums den, num, sec of c, c', c'' by class weight w,
+    shape (3, *theta.shape, n + 1), each written as a product.  Product probe:
+    den_w = A^(n - w) B^w, A = 1 + cos^2, B = sin^2, the rest by the product
+    rule.  GHZ: den_0 = 2^(n - 1) + cos^2(n theta), then cos^2(n theta) at
+    even w and sin^2(n theta) at odd w, num and sec the +/- derivatives."""
+    if probe not in PROBES:
+        raise ValueError(f"probe must be one of {PROBES}")
+    t = np.asarray(theta, dtype=float)[..., None]
+    # below sqrt(tiny) sin^2 is subnormal; the families are those at 0
+    t = np.where(np.abs(t) < np.sqrt(np.finfo(float).tiny), 0.0, t)
+    w = np.arange(n + 1)
+    if probe == "ghz":
+        nt, odd = n * t, w % 2 == 1
+        den = np.where(odd, np.sin(nt) ** 2, np.cos(nt) ** 2)
+        den[..., 0] += 2.0 ** (n - 1)
+        sign = np.where(odd, n, -n)
+        return np.stack([den, sign * np.sin(2.0 * nt), 2.0 * n * sign * np.cos(2.0 * nt)])
+    a, b = 1.0 + np.cos(t) ** 2, np.sin(t) ** 2
+    da, dda = -np.sin(2.0 * t), -2.0 * np.cos(2.0 * t)  # b' = -a', b'' = -a''
+    p, q = n - w, w
+
+    def term(k, j):
+        # a^(p - k) b^(q - j), kept finite where a zero factor p or q clears it
+        return a ** np.maximum(p - k, 0) * b ** np.maximum(q - j, 0)
+
+    first = p * term(1, 0) - q * term(0, 1)
+    second = p * (p - 1) * term(2, 0) - 2 * p * q * term(1, 1) + q * (q - 1) * term(0, 2)
+    return np.stack([term(0, 0), da * first, da * da * second + dda * first])
+
+
+def closed_gap(probe: str, n: int, theta) -> np.ndarray:
+    """1 - s for the full-swap overlap s of the GHZ or product-plus probe,
+    without cancellation: sin^2(n theta), or -expm1(n log1p(-sin^2 theta))."""
+    if probe not in PROBES:
+        raise ValueError(f"probe must be one of {PROBES}")
+    t = np.asarray(theta, dtype=float)
+    if probe == "ghz":
+        return np.sin(n * t) ** 2
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives s = 0 at pi/2
+        return -np.expm1(n * np.log1p(-np.sin(t) ** 2))
+
+
 def closed_lui(probe: str, n: int, theta: float) -> LuiState:
     """Twirled two-copy state of the GHZ or product-plus probe under the
     half-weight Z sum, reversed encoding."""

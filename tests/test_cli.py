@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_verify
+from framefree.fisher import qfi_ghz_closed, qfi_gui_ghz_closed, qfi_product_closed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,6 +123,76 @@ class TestScan:
             for name, col in columns.items():
                 np.testing.assert_allclose(col[i], alone[name][0], rtol=1e-12, atol=0,
                                            err_msg=f"{name} at {grid[i]}")
+
+    def test_product_n10_window_swap_columns(self, tmp_path):
+        # the product probe's quartic families near theta = 3e-4 sit at the
+        # mask transform's rounding scale; the weight classes carry none
+        out = tmp_path / "window.csv"
+        code = main(["scan", "--probe", "product", "--sites", "10",
+                     "--theta-min", "0", "--theta-max", "0.05", "--theta-points", "501",
+                     "--strategies", "qfi_re,cfi_lst,cfi_lbm", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        # the CSV keeps 12 significant digits
+        for col in (2, 3):
+            assert np.all(np.abs(rows[:, col] - rows[:, 1]) <= 1e-11 * rows[:, 1])
+        grid = np.linspace(0.0, 0.05, 501)
+        columns = _scan_columns("product", 10, grid, ("qfi_re", "cfi_lst", "cfi_lbm"))
+        for name in ("cfi_lst", "cfi_lbm"):
+            assert np.all(np.abs(columns[name] - columns["qfi_re"]) <= 1e-12 * columns["qfi_re"])
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_global_swap_columns_match_mpmath(self, probe):
+        # (ds)^2 / (1 - s^2) near theta = 0, where 1 - s formed from the
+        # rounded s lost up to 5e-9 relative
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        grid = np.linspace(0.0, 0.05, 201)[1:]
+        for n in range(1, 11):
+            columns = _scan_columns(probe, n, grid, ("qfi_gui", "cfi_gst"))
+            for theta, gui, gst in zip(grid, columns["qfi_gui"], columns["cfi_gst"]):
+                t = mp.mpf(theta)
+                if probe == "ghz":
+                    s, ds = mp.cos(n * t) ** 2, -n * mp.sin(2 * n * t)
+                else:
+                    s, ds = mp.cos(t) ** (2 * n), -2 * n * mp.cos(t) ** (2 * n - 1) * mp.sin(t)
+                want = ds * ds / (1 - s * s)
+                assert gui == gst
+                assert abs(gui - want) <= 1e-13 * want, (n, theta)
+
+    @pytest.mark.parametrize("sites", ["0", "65"])
+    def test_sites_outside_scan_range_rejected(self, tmp_path, sites):
+        code = main(["scan", "--sites", sites, "--strategies", "cfi_lst",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_largest_register_matches_closed_forms(self, tmp_path, probe):
+        out = tmp_path / "n64.csv"
+        code = main(["scan", "--probe", probe, "--sites", "64", "--theta-min", "0",
+                     "--theta-max", str(np.pi / 2), "--theta-points", "257",
+                     "--strategies", "qfi_re,cfi_lst,cfi_lbm,qfi_gui", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        grid = np.linspace(0.0, np.pi / 2, 257)
+        assert np.all(np.abs(rows[:, 0] - grid) <= 1e-11)
+        closed, f0 = (qfi_ghz_closed, 2.0 * 64 * 64) if probe == "ghz" else (qfi_product_closed, 128.0)
+        qfi = closed(64, grid)
+        # the CSV keeps 12 significant digits; the closed forms carry eps f0
+        for col in (1, 2, 3):
+            assert np.all(np.abs(rows[:, col] - qfi) <= 1e-11 * qfi + 1e-14 * f0)
+        if probe == "ghz":
+            gui = np.array([qfi_gui_ghz_closed(64, t) for t in grid])
+        else:
+            mp = pytest.importorskip("mpmath")
+            mp.mp.dps = 40
+            gui = []
+            for t in map(mp.mpf, grid):
+                s, ds = mp.cos(t) ** 128, -128 * mp.cos(t) ** 127 * mp.sin(t)
+                gui.append(float(ds * ds / (1 - s * s)) if s < 1 else f0)
+            gui = np.array(gui)
+        assert np.all(np.abs(rows[:, 4] - gui) <= 1e-11 * gui + 1e-14 * f0)
 
     def test_step_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

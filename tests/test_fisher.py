@@ -6,6 +6,8 @@ from framefree.fisher import (
     DEFAULT_STEP,
     f0,
     fisher_from_coefficients,
+    fisher_from_weight_classes,
+    information_sum,
     lui_spectrum,
     qfi_from_spectrum,
     qfi_ghz_closed,
@@ -24,9 +26,17 @@ from framefree.tensor import (
     StateVector,
     hamming,
     local_unitary,
+    popcounts,
     subset_transform,
 )
-from framefree.twirl import LuiState, ghz_lui, lui_coefficients, lui_density
+from framefree.twirl import (
+    LuiState,
+    closed_families,
+    closed_overlaps,
+    ghz_lui,
+    lui_coefficients,
+    lui_density,
+)
 
 from conftest import random_state
 
@@ -394,3 +404,40 @@ class TestDenominatorRule:
         assert signed.min() < -1e-8
         with pytest.raises(RuntimeError, match="PSD"):
             fisher_from_coefficients(coeffs, np.zeros(4), np.zeros(4))
+
+
+class TestWeightRoute:
+    @staticmethod
+    def angles(n):
+        stationary = np.arange(2 * n + 1) * np.pi / (2 * n)
+        seeded = np.random.default_rng(n).uniform(0.0, np.pi, 5)
+        return np.concatenate([stationary, stationary[1:] + 1e-9,
+                               [3e-4, 1e-6, 1e-160, 1e-170], seeded])
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", list(range(1, 11)) + [16, 32, 63, 64])
+    def test_matches_closed_forms(self, probe, n):
+        # one array call over every angle, including the exact zeros at
+        # k pi/(2N) and 0 and the product probe's quartic zeros near 3e-4;
+        # the closed forms themselves carry eps f0 where the QFI vanishes
+        theta = self.angles(n)
+        closed = qfi_ghz_closed if probe == "ghz" else qfi_product_closed
+        got = fisher_from_weight_classes(closed_families(probe, n, theta))
+        want = closed(n, theta)
+        f0_closed = 2.0 * n * n if probe == "ghz" else 2.0 * n
+        assert got.shape == theta.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want + 4.0 * np.finfo(float).eps * f0_closed)
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_agrees_with_mask_route_at_generic_angles(self, probe, n):
+        theta = np.random.default_rng(n).uniform(0.05, 1.5, 7)
+        weight = fisher_from_weight_classes(closed_families(probe, n, theta))
+        for t, value in zip(theta, weight):
+            mask = fisher_from_coefficients(*closed_overlaps(probe, n, t)[:, popcounts(n)])
+            assert abs(value - mask) <= 1e-10 * mask
+
+    def test_rule_rejects_negative_family(self):
+        with pytest.raises(RuntimeError, match="PSD"):
+            information_sum(np.array([[1.0, -1e-3]]), np.zeros((1, 2)), np.zeros((1, 2)),
+                            np.array([1.0, 1.0]), 1e-15)

@@ -165,11 +165,11 @@ class TestGlobalSwapTest:
         assert abs(got - 8.0) / 8.0 < 1e-3
 
     def test_stationary_guard(self):
-        assert cfi_gst_from_overlap(1.0, 0.0, limit=6.0) == 6.0
+        assert cfi_gst_from_overlap(1.0, 0.0, 0.0, limit=6.0) == 6.0
         with pytest.raises(RuntimeError, match="limit"):
-            cfi_gst_from_overlap(1.0, 0.0)
+            cfi_gst_from_overlap(1.0, 0.0, 0.0)
         with pytest.raises(RuntimeError, match="non-vanishing derivative"):
-            cfi_gst_from_overlap(1.0, 1.0, limit=2.0)
+            cfi_gst_from_overlap(1.0, 0.0, 1.0, limit=2.0)
 
 
 class TestLocalSwapTest:
@@ -256,7 +256,7 @@ class TestStrategyOrdering:
             ceiling = qfi_ghz_closed(n, theta) + 1e-6
             assert cfi_dm_from_overlap(s, ds, n) <= ceiling
             assert cfi_grm_from_overlap(s, ds, n) <= ceiling
-            assert cfi_gst_from_overlap(s, ds, limit=8.0) <= ceiling
+            assert cfi_gst_from_overlap(s, 1.0 - s, ds, limit=8.0) <= ceiling
             c, dc, ddc = closed_overlaps("ghz", n, theta)[:, popcounts(n)]
             assert fisher_from_coefficients(c, dc, ddc) <= ceiling
 

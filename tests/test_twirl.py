@@ -3,17 +3,21 @@ import pytest
 
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
+    WALSH_KERNEL,
     QuditLayout,
     StateVector,
     hamming,
     partial_trace,
     popcounts,
     ptrace_matrix,
+    subset_transform,
     swap_operator,
     trace_product,
 )
 from framefree.twirl import (
     LuiState,
+    closed_families,
+    closed_gap,
     closed_overlaps,
     g_twirl_apply,
     ghz_lui,
@@ -211,6 +215,53 @@ class TestClosedOverlaps:
         for i, theta in enumerate(angles):
             numeric = swap_overlaps(z_sum_pair(psi, theta))
             assert np.allclose(closed[:, i, popcounts(n)], numeric, rtol=0, atol=1e-11 * n * n)
+
+
+class TestClosedFamilies:
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_walsh_transform(self, probe, n):
+        # the factorised class sums against the Walsh transform of the mask
+        # rows; the transform's own rounding is at most n eps sum|row|
+        seeded = np.random.default_rng(n).uniform(0.0, np.pi, 3)
+        angles = np.concatenate([[0.0, 3e-4], np.arange(1, 2 * n + 1) * np.pi / (2 * n), seeded])
+        families = closed_families(probe, n, angles)
+        assert families.shape == (3, angles.size, n + 1)
+        rows = closed_overlaps(probe, n, angles)[..., popcounts(n)]
+        walsh = subset_transform(rows, WALSH_KERNEL)
+        tol = 2.0 * n * np.finfo(float).eps * np.abs(rows).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(families[..., popcounts(n)] - walsh) <= tol)
+
+    def test_exact_zeros_at_zero_angle(self):
+        # theta = 0 is a true zero of every class but w = 0 for the product
+        # probe and of the odd classes for GHZ: no rounding residue
+        den = closed_families("product", 6, 0.0)[0]
+        assert den[0] == 2.0**6 and np.all(den[1:] == 0.0)
+        den = closed_families("ghz", 5, 0.0)[0]
+        assert np.all(den[1::2] == 0.0) and np.all(den[2::2] == 1.0)
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_subnormal_angles_take_the_zero_angle_value(self, probe):
+        # below sqrt(tiny) sin^2 is subnormal; the families are those at 0
+        at_zero = closed_families(probe, 64, 0.0)
+        for theta in (1e-160, 1e-170, -1e-200):
+            assert np.array_equal(closed_families(probe, 64, theta), at_zero)
+
+
+class TestClosedGap:
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_matches_mpmath(self, probe):
+        # 1 - s to full relative precision near theta = 0, where forming it
+        # from the rounded s loses digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        angles = np.concatenate([np.linspace(0.0, 0.05, 101)[1:], [1e-9, 1e-6, 3e-4]])
+        for n in range(1, 11):
+            got = closed_gap(probe, n, angles)
+            for theta, value in zip(angles, got):
+                t = mp.mpf(theta)
+                s = mp.cos(n * t) ** 2 if probe == "ghz" else mp.cos(t) ** (2 * n)
+                assert abs(value - (1 - s)) <= 1e-14 * (1 - s), (n, theta)
 
 
 class TestLuiDensity:
