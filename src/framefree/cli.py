@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fisher, measure, twirl, verify
 from .states import HamiltonianSpec, IE, RE, ghz_state, make_pair, product_plus_state
-from .tensor import QuditLayout, StateVector, swap_operator, trace_product
+from .tensor import QuditLayout, StateVector, popcounts, swap_operator, trace_product
 from .twirl import PROBES
 
 DEFAULT_SEED = 0xC0FFEE
@@ -35,7 +35,7 @@ ESTIMATE_READOUTS = {"lbm": measure.probs_lbm, "dm": measure.probs_dm, "gst": me
 def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
     """Each requested column over the whole theta grid, from one evaluation
     of the closed-form overlaps."""
-    s, ds = twirl.closed_overlaps(probe, n, grid, 1)[:, :, n]
+    s, ds, dds = twirl.closed_overlaps(probe, n, grid)[..., n]
     # for a pure probe s''(0) = -8 Var H = -f0
     f0 = -twirl.closed_overlaps(probe, n, 0.0)[2, n]
     columns = {}
@@ -50,7 +50,7 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
             columns[strategy] = np.full_like(grid, f0)
         elif strategy in ("qfi_gui", "cfi_gst"):
             gap = twirl.closed_gap(probe, n, grid)  # 1 - s without cancellation
-            columns[strategy] = measure.cfi_gst_from_overlap(s, gap, ds, limit=f0)
+            columns[strategy] = measure.cfi_gst_from_overlap(s, gap, ds, dds)
         elif strategy == "cfi_dm":
             columns[strategy] = measure.cfi_dm_from_overlap(s, ds, n)
         elif strategy == "cfi_grm":
@@ -251,7 +251,15 @@ def run_estimate(cfg: dict) -> dict:
     def model(t: float) -> measure.OutcomeDistribution:
         return readout(twirl.closed_lui(probe, n, t))
 
-    run = measure.estimation_experiment(model, true_theta, shots, reps, int(cfg["seed"]))
+    rows = twirl.closed_overlaps(probe, n, true_theta)
+    if strategy == "gst":
+        s, ds, dds = rows[:, n]
+        gap = twirl.closed_gap(probe, n, true_theta)  # 1 - s without cancellation
+        information = measure.cfi_gst_from_overlap(s, gap, ds, dds)
+    else:
+        information = measure.cfi(strategy, rows[:, popcounts(n)], local_dim=2)
+    run = measure.estimation_experiment(model, true_theta, information, shots, reps,
+                                        int(cfg["seed"]))
     return {
         "probe": probe,
         "sites": n,

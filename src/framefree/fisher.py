@@ -1,17 +1,16 @@
 """Quantum Fisher information for twirled two-copy states.
 
-Two routes are provided and cross-checked everywhere: the coefficient route
-(a signed sum over swap-mask overlaps and their theta derivatives) and the
-spectrum route (eigenvalue perturbation of the dense invariant state).  The
-spectrum route excludes vanishing eigenvalues; the coefficient route takes a
-family whose signed sum and its derivative both vanish at its continuous
-limit, twice the exact second derivative.  Closed forms are available for
-the GHZ and product probes and for one-site / m-site encodings on probes
+Every information number is one sum, `information_sum`, over the classes a
+linear map makes of the swap-mask overlaps c and their exact derivatives:
+site masks (the coefficient route, also the swap-test and Bell readouts),
+eigenvalue families (the spectrum route) or the mask weights of the closed
+probes; a class whose sum vanishes takes its continuous limit.  Closed forms
+cover the GHZ and product probes and one-site / m-site encodings on probes
 that factorize between encoded and unencoded sites.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from .states import IE, RE, EncodedPair
 from .tensor import WALSH_KERNEL, popcounts, subset_transform
 from .twirl import LuiState, swap_overlaps
 
-DEFAULT_STEP = 1e-5
-EIGENVALUE_FLOOR = 1e-12
-SUM_ROUNDING = 8.0  # rounding scale of a signed coefficient sum, in eps * sum|c|
+SUM_ROUNDING = 8.0  # rounding scale of a class sum, in eps times the size of its terms
+# class probabilities of the local swap test: p = W c / 2^N
+SWAP_TEST_KERNEL = WALSH_KERNEL / 2.0
 _MODE_NAMES = {RE: "reversed", IE: "identical"}
 
 
@@ -40,30 +39,36 @@ class FisherResult:
     theta: float
     value: float
     method: str
-    derivative_step: float
-    dropped: tuple = field(default_factory=tuple)
+
+
+def _spectrum(n: int, d: int):
+    """Overlaps-to-eigenvalues kernel of the invariant state, and the degeneracies."""
+    k = popcounts(n)
+    kernel = np.array([[1.0 / (d * (d + 1)), 1.0 / (d * (d + 1))],
+                       [1.0 / (d * (d - 1)), -1.0 / (d * (d - 1))]])
+    return kernel, (d * (d + 1) // 2) ** (n - k) * (d * (d - 1) // 2) ** k
 
 
 def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
     """Eigenvalues of the dense invariant state, indexed by the mask of
     antisymmetric sites, with combinatorial degeneracies."""
-    n, d = lui.n_sites, lui.layout.local_dim
-    lam = subset_transform(lui.coeffs, [[1.0 / (d * (d + 1)), 1.0 / (d * (d + 1))],
-                                        [1.0 / (d * (d - 1)), -1.0 / (d * (d - 1))]])
-    k = popcounts(n)
-    deg = (d * (d + 1) // 2) ** (n - k) * (d * (d - 1) // 2) ** k
-    return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(1 << n)]
+    kernel, deg = _spectrum(lui.n_sites, lui.layout.local_dim)
+    lam = subset_transform(lui.coeffs, kernel)
+    return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(lam.size)]
 
 
 def information_sum(den, num, sec, mult, r):
-    """(1/2^N) sum of mult num^2 / den over the families on the last axis,
-    2^N = sum(mult); den, num, sec are a family's signed sums of c, c', c''
-    and r the rounding scale of den.  Below -r the state is not PSD; up to r
-    a family is a zero and takes its continuous limit 2 sec (Safranek, PRA
-    95, 052320, 2017), which requires num^2 <= 4 r max(|sec|, 2^N); above r
-    it takes num^2 / den, or 2 sec where the two agree within the ratio's
+    """(1/S) sum of mult num^2 / den over the classes on the last axis,
+    S = sum(mult); den, num, sec are a class's sums of c, c', c'' scaled so
+    that den / S is the probability of each of its mult outcomes, and r the
+    rounding scale of den, at least the smallest normal float (a subnormal
+    den carries no relative precision).  Below -r the state is not PSD; up
+    to r a class is a zero and takes its continuous limit 2 sec (Safranek,
+    PRA 95, 052320, 2017), which requires num^2 <= 4 r max(|sec|, S); above
+    r it takes num^2 / den, or 2 sec where the two agree within the ratio's
     own rounding (double zeros near stationary angles)."""
     size = mult.sum()
+    r = np.maximum(r, np.finfo(float).tiny)
     if np.any(den < -r):
         raise RuntimeError(f"denominator {den.min()} is negative: state is not PSD")
     zero = den <= r
@@ -75,19 +80,23 @@ def information_sum(den, num, sec, mult, r):
     ratio = num * num / den
     limit = 2.0 * sec
     at_limit = zero | (np.abs(ratio - limit) * den <= r * ratio)
-    return (mult * np.where(at_limit, limit, ratio)).sum(axis=-1) / size
+    # a product with mult, not a sum over a short last axis, which numpy runs row by row
+    return np.where(at_limit, limit, ratio) @ mult / size
 
 
-def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs) -> float:
-    """Information of the invariant state from the overlaps c and their exact
-    c' and c'', one family per site mask, r = SUM_ROUNDING * eps * sum|c|."""
+def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs, kernel=SWAP_TEST_KERNEL) -> float:
+    """Information sum (dp)^2 / p over the classes p = K c of a readout with
+    Kronecker kernel K, from the overlaps c and their exact c' and c''; the
+    default kernel is the swap test's, whose information is that of the
+    invariant state.  r_b = SUM_ROUNDING * eps * (|K| |c|)_b."""
     c = np.asarray(coeffs, dtype=float)
     size = c.size
     # centred on c_0 = 1 so the sums near a zero carry no O(1) cancellation
-    den, num, sec = subset_transform([c - c[0], dcoeffs, second_dcoeffs], WALSH_KERNEL)
-    den[0] += size * c[0]
-    r = SUM_ROUNDING * np.finfo(float).eps * np.abs(c).sum()
-    return float(information_sum(den, num, sec, np.ones(size), r))
+    p, dp, ddp, ones = subset_transform([c - c[0], dcoeffs, second_dcoeffs, np.ones(size)], kernel)
+    p += c[0] * ones
+    r = SUM_ROUNDING * np.finfo(float).eps * subset_transform(np.abs(c), np.abs(kernel))
+    # one outcome per class, S = 2^N: den = 2^N p
+    return float(information_sum(size * p, size * dp, size * ddp, np.ones(size), size * r))
 
 
 def fisher_from_weight_classes(families) -> np.ndarray:
@@ -100,53 +109,40 @@ def fisher_from_weight_classes(families) -> np.ndarray:
     return information_sum(den, num, sec, mult, SUM_ROUNDING * np.finfo(float).eps * den)
 
 
-def _overlap_series(pair_fn, theta: float, step: float):
-    """The pair at theta with c, c' and the exact c'' of every swap mask;
-    c' by central differences of c when step > 0."""
-    if step < 0.0:
-        raise ValueError("step must be positive, or 0 for the exact derivative")
+def qfi_from_spectrum(series, local_dim: int) -> float:
+    """Degeneracy-weighted sum of (d lambda)^2 / lambda over the eigenvalue
+    families of the invariant state, with lambda, d lambda and d^2 lambda
+    the eigenvalue kernel applied to the exact overlap rows c, c', c''
+    (shape (3, 2^N)) of a register of local dimension `local_dim`;
+    r_b = SUM_ROUNDING * eps * (|K| |c|)_b."""
+    c = np.asarray(series, dtype=float)
+    kernel, deg = _spectrum(c.shape[-1].bit_length() - 1, local_dim)
+    # each eigenvector is one outcome: den = dim * lambda, dim = sum(deg)
+    dim = float(deg.sum())
+    r = SUM_ROUNDING * np.finfo(float).eps * subset_transform(np.abs(c[0]), np.abs(kernel))
+    return float(information_sum(*(dim * subset_transform(c, kernel)), deg, dim * r))
+
+
+def _qfi_general(pair_fn, theta: float, mode: str) -> FisherResult:
     pair = pair_fn(theta)
-    series = swap_overlaps(pair)
-    if step > 0.0:
-        series[1] = (swap_overlaps(pair_fn(theta + step), 0)[0]
-                     - swap_overlaps(pair_fn(theta - step), 0)[0]) / (2.0 * step)
-    return pair, series
-
-
-def _qfi_general(pair_fn, theta: float, step: float, mode: str) -> FisherResult:
-    pair, (c, dc, ddc) = _overlap_series(pair_fn, theta, step)
     if pair.mode != mode:
         raise ValueError(f"qfi_{mode}_general expects {_MODE_NAMES[mode]}-encoding pairs")
-    return FisherResult(theta, fisher_from_coefficients(c, dc, ddc), f"{mode}_general", step)
+    return FisherResult(theta, fisher_from_coefficients(*swap_overlaps(pair)), f"{mode}_general")
 
 
-def qfi_re_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
+# qfi_re_general, qfi_ie_general, qfi_m_site_closed and qfi_gui_re accept one
+# trailing positional argument and ignore it: the general_route workload in
+# perfbench/workloads.py passes a derivative step there.
+
+
+def qfi_re_general(pair_fn, theta: float, _ignored=None, /) -> FisherResult:
     """Information of the locally twirled reversed-encoding state."""
-    return _qfi_general(pair_fn, theta, step, RE)
+    return _qfi_general(pair_fn, theta, RE)
 
 
-def qfi_ie_general(pair_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
+def qfi_ie_general(pair_fn, theta: float, _ignored=None, /) -> FisherResult:
     """Information of the locally twirled identical-encoding state (purity terms)."""
-    return _qfi_general(pair_fn, theta, step, IE)
-
-
-def qfi_from_spectrum(spectrum_fn, theta: float, step: float = DEFAULT_STEP) -> FisherResult:
-    """Degeneracy-weighted sum of (d lambda)^2 / lambda over the spectrum,
-    with central finite differences; families below the floor are excluded."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    here = spectrum_fn(theta)
-    above = {e.mask: e.eigenvalue for e in spectrum_fn(theta + step)}
-    below = {e.mask: e.eigenvalue for e in spectrum_fn(theta - step)}
-    total = 0.0
-    dropped = []
-    for entry in here:
-        dlam = (above[entry.mask] - below[entry.mask]) / (2.0 * step)
-        if entry.eigenvalue < EIGENVALUE_FLOOR:
-            dropped.append(entry.mask)
-            continue
-        total += entry.degeneracy * dlam * dlam / entry.eigenvalue
-    return FisherResult(theta, total, "from_spectrum", step, tuple(dropped))
+    return _qfi_general(pair_fn, theta, IE)
 
 
 def f0(psi0, h) -> float:
@@ -170,7 +166,7 @@ def qfi_one_site_closed(tr_rho_sq: float, tr_zrz_rho: float, theta: float) -> fl
     return 4.0 * c * c * t / (2.0 - s * s * t)
 
 
-def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
+def qfi_m_site_closed(pair: EncodedPair, _ignored=None, /) -> float:
     """Restricted sum over encoded-site masks only, prefactor 1/2^m.
 
     Exact when the probe factorizes between the encoded and unencoded sites;
@@ -182,10 +178,9 @@ def qfi_m_site_closed(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
     support = pair.hamiltonian.support
     if support == 0:
         raise ValueError("the generator has empty support")
-    _, series = _overlap_series(pair.at, pair.theta, step)
     # every subset of the support; increasing order is the restricted register's bit order
     submasks = [mask for mask in range(support + 1) if mask & support == mask]
-    return fisher_from_coefficients(*series[:, submasks])
+    return fisher_from_coefficients(*swap_overlaps(pair)[:, submasks])
 
 
 def qfi_product_closed(n: int, theta):
@@ -209,12 +204,11 @@ def qfi_gui_ghz_closed(n: int, theta: float) -> float:
     return 4.0 * n * n * c / (1.0 + c)
 
 
-def qfi_gui_re(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
+def qfi_gui_re(pair: EncodedPair, _ignored=None, /) -> float:
     """Information of the globally twirled reversed-encoding state:
-    (ds)^2 / (1 - s^2) with the stationary point resolved to the untwirled
-    ceiling.  This is the global swap test's information."""
+    (ds)^2 / (1 - s^2), the global swap test's information."""
     from .measure import cfi_gst  # measure builds on this module
 
     if pair.mode != RE:
         raise ValueError("qfi_gui_re expects reversed-encoding pairs")
-    return cfi_gst(pair, step)
+    return cfi_gst(pair)

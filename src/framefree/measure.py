@@ -11,16 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import DEFAULT_STEP, f0
+from .fisher import SUM_ROUNDING, SWAP_TEST_KERNEL, fisher_from_coefficients, information_sum
 from .states import EncodedPair
-from .tensor import WALSH_KERNEL, popcounts, subset_transform
-from .twirl import LuiState, global_overlap, global_overlap_derivative
+from .tensor import popcounts, subset_transform
+from .twirl import LuiState, global_overlap_series
 
-PROB_FLOOR = 1e-14
 PROB_ATOL = -1e-12
 CLASS_PROB_TOL = 1e-10
 PROB_SUM_ATOL = 1e-9
-OVERLAP_FLOOR = 1e-12
 
 DM = "dm"
 GST = "gst"
@@ -62,34 +60,43 @@ class EstimationRun:
     repetitions: int = 1
 
 
-def cfi(dist_fn, theta: float, step: float = DEFAULT_STEP) -> float:
-    """Classical information sum (dp)^2/p from an outcome model; classes with
-    probability under the floor are dropped."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    p = dist_fn(theta).probs
-    dp = (dist_fn(theta + step).probs - dist_fn(theta - step).probs) / (2.0 * step)
-    live = p > PROB_FLOOR
-    return float(np.sum(dp[live] ** 2 / p[live]))
+def cfi(readout: str, series, local_dim: int) -> float:
+    """Classical information of the dm, lst or lbm readout of the locally
+    twirled state from its overlap rows c, c', c'' (shape (3, 2^N), exact
+    derivatives) on sites of dimension `local_dim`: the readout's kernel on
+    each row, through the one information sum.  The global swap test reads
+    the full-mask overlap alone: `cfi_gst_from_overlap`."""
+    if readout not in (DM, LST, LBM):
+        raise ValueError(f"unknown readout {readout!r}")
+    kernel = _dm_kernel(local_dim) if readout == DM else SWAP_TEST_KERNEL
+    return fisher_from_coefficients(*np.asarray(series, dtype=float), kernel=kernel)
 
 
 # -- computational-basis readout (per-site coincidence classes)
+
+
+def _dm_kernel(d: int) -> np.ndarray:
+    return np.array([[d / (d + 1.0), -1.0 / (d + 1.0)], [1.0 / (d + 1.0), 1.0 / (d + 1.0)]])
 
 
 def probs_dm(lui: LuiState) -> OutcomeDistribution:
     """Both-copy computational-basis readout after the local twirl, grouped
     by the mask of sites whose two copies coincide."""
     n, d = lui.n_sites, lui.layout.local_dim
-    probs = subset_transform(lui.coeffs, [[d / (d + 1.0), -1.0 / (d + 1.0)],
-                                          [1.0 / (d + 1.0), 1.0 / (d + 1.0)]])
+    probs = subset_transform(lui.coeffs, _dm_kernel(d))
     mult = d**n * (d - 1) ** (n - popcounts(n))
     labels = tuple(f"coincide:{m:0{n}b}" for m in range(1 << n))
     return OutcomeDistribution(labels, probs, lui.theta, DM, multiplicity=mult)
 
 
 def cfi_dm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
-    """Closed form driven by the full-state overlap, exact for GHZ probes.
-    Elementwise over arrays of angles."""
+    """Closed form driven by the full-state overlap s and its derivative:
+    the information of `probs_dm` with every intermediate overlap c_a
+    (0 < |a| < N) set to 0.  That is the direct readout of neither the GHZ
+    nor the product probe's twirled state, whose intermediate overlaps are
+    1/2 and cos^(2|a|) theta (fault 1, ROADMAP item 1).  It stays until the
+    targets that rest on it (test_c06, TestDmReadout and the 0.990 peak in
+    test_cli) are re-targeted.  Elementwise over arrays of angles."""
     d = local_dim
     total = sum(
         math.comb(n_sites, k) * ds * ds / (d**k + (-1.0) ** k * s)
@@ -98,8 +105,8 @@ def cfi_dm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
     return total / (d + 1.0) ** n_sites
 
 
-def cfi_dm(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
-    s, ds = _overlap_and_derivative(pair, step)
+def cfi_dm(pair: EncodedPair) -> float:
+    s, ds = global_overlap_series(pair)[:2]
     return cfi_dm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
 
 
@@ -111,8 +118,8 @@ def cfi_grm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
     return ds * ds / (dn + (dn - 1.0) * s - s * s)
 
 
-def cfi_grm(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
-    s, ds = _overlap_and_derivative(pair, step)
+def cfi_grm(pair: EncodedPair) -> float:
+    s, ds = global_overlap_series(pair)[:2]
     return cfi_grm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
 
 
@@ -128,38 +135,23 @@ def probs_gst(lui: LuiState) -> OutcomeDistribution:
                                lui.theta, GST)
 
 
-def cfi_gst_from_overlap(s, gap, ds, limit: float | None = None):
-    """(ds)^2 / (1 - s^2) = (ds)^2 / (gap (1 + s)), with gap = 1 - s as
-    accurate as the caller can give it; `limit` (the information at the
-    stationary point) where 1 - s^2 falls under the floor, where a (ds)^2
-    beyond twice limit * (1 - s^2) is inconsistent.  Elementwise over arrays
-    of angles; a scalar for scalar input."""
-    s, gap, ds = (np.asarray(x, dtype=float) for x in (s, gap, ds))
-    denom = gap * (1.0 + s)
-    stationary = denom < OVERLAP_FLOOR
-    if not stationary.any():
-        return (ds * ds / denom)[()]
-    if limit is None:
-        raise RuntimeError("stationary overlap: supply the small-angle limit")
-    if np.any(ds[stationary] ** 2 > 2.0 * limit * OVERLAP_FLOOR):
-        raise RuntimeError("overlap pinned at 1 with non-vanishing derivative")
-    return np.where(stationary, limit, ds * ds / np.where(stationary, 1.0, denom))[()]
+def cfi_gst_from_overlap(s, gap, ds, dds):
+    """(ds)^2 / (1 - s^2) as the information sum of the two ancilla classes
+    (1 +/- s)/2, with gap = 1 - s formed without cancellation, as
+    `twirl.closed_gap` and `twirl.global_overlap_series` give it, so both
+    class sums carry only relative rounding: r = SUM_ROUNDING * eps * den.
+    At a stationary point the class 1 - s takes its limit from dds.
+    Elementwise over arrays of angles; a scalar for scalar input."""
+    s, gap, ds, dds = (np.asarray(x, dtype=float) for x in (s, gap, ds, dds))
+    den = np.stack([1.0 + s, gap], axis=-1)
+    num = np.stack([ds, -ds], axis=-1)
+    sec = np.stack([dds, -dds], axis=-1)
+    return information_sum(den, num, sec, np.ones(2), SUM_ROUNDING * np.finfo(float).eps * den)[()]
 
 
-def cfi_gst(pair: EncodedPair, step: float = DEFAULT_STEP) -> float:
-    s, ds = _overlap_and_derivative(pair, step)
-    return cfi_gst_from_overlap(s, 1.0 - s, ds, limit=f0(pair.initial, pair.hamiltonian))
-
-
-def _overlap_and_derivative(pair: EncodedPair, step: float):
-    s = global_overlap(pair)
-    if step == 0.0:
-        return s, global_overlap_derivative(pair)
-    if step < 0.0:
-        raise ValueError("step must be positive, or 0 for the exact derivative")
-    ds = (global_overlap(pair.at(pair.theta + step))
-          - global_overlap(pair.at(pair.theta - step))) / (2.0 * step)
-    return s, ds
+def cfi_gst(pair: EncodedPair) -> float:
+    s, ds, dds, gap = global_overlap_series(pair)
+    return float(cfi_gst_from_overlap(s, gap, ds, dds))
 
 
 # -- local swap test and local Bell readout
@@ -168,7 +160,7 @@ def _overlap_and_derivative(pair: EncodedPair, step: float):
 def _class_probs(lui: LuiState) -> np.ndarray:
     """Probabilities of the antisymmetric-site-mask classes: the signed
     coefficient sums over 2^N."""
-    p = subset_transform(lui.coeffs, WALSH_KERNEL) / (1 << lui.n_sites)
+    p = subset_transform(lui.coeffs, SWAP_TEST_KERNEL)
     if p.min() < -CLASS_PROB_TOL:
         raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
     return p
@@ -247,19 +239,19 @@ def default_window(true_theta: float) -> tuple:
     return lo, hi
 
 
-def estimation_experiment(model, true_theta: float, shots: int, repetitions: int,
-                          seed: int, window: tuple | None = None,
-                          step: float = DEFAULT_STEP) -> EstimationRun:
+def estimation_experiment(model, true_theta: float, information: float, shots: int,
+                          repetitions: int, seed: int,
+                          window: tuple | None = None) -> EstimationRun:
     """Repeated sample-and-estimate runs against the Cramer-Rao bound.
 
     Repetitions use independently derived streams; the empirical variance of
-    the estimates is compared to 1/(shots * F) at the true angle.
+    the estimates is compared to 1/(shots * F), with F = `information` the
+    model's information at the true angle (`cfi` on the same overlaps).
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions to estimate a variance")
     if window is None:
         window = default_window(true_theta)
-    information = cfi(model, true_theta, step)
     crb = 1.0 / (shots * information)
     dist = model(true_theta)
     estimates = np.empty(repetitions)

@@ -247,24 +247,29 @@ def lui_density(lui: LuiState) -> DensityOperator:
     return DensityOperator(lui.layout.two_copy(), _lui_matrix(lui))
 
 
-def global_overlap(pair: EncodedPair) -> float:
-    """Tr(rho_+ rho_-) = |<psi_+|psi_->|^2 for pure copies."""
-    return float(abs(np.vdot(pair.psi_plus.amplitudes, pair.psi_minus.amplitudes)) ** 2)
-
-
-def global_overlap_derivative(pair: EncodedPair) -> float:
-    """Exact d/d(theta) of the full-state overlap."""
-    if pair.mode == IE:
-        return 0.0
+def global_overlap_series(pair: EncodedPair) -> tuple:
+    """The full-state overlap s = Tr(rho_+ rho_-) = |g|^2 of the pure copies,
+    g = <psi_+|psi_->, its exact first and second theta derivatives, and
+    1 - s as the squared norm of the part of psi_- orthogonal to psi_+.
+    1 - s and s' carry no cancellation where s is near 1 and are exactly 0
+    where the two copies coincide."""
     plus, minus = pair.psi_plus.amplitudes, pair.psi_minus.amplitudes
     g = np.vdot(plus, minus)
-    dg = 2j * np.vdot(plus, pair.hamiltonian.apply(minus))
-    return float(2.0 * (np.conj(g) * dg).real)
+    perp = minus - g / np.vdot(plus, plus) * plus
+    gap = float(np.vdot(perp, perp).real)
+    if pair.mode == IE:
+        return float(abs(g) ** 2), 0.0, 0.0, gap
+    # g' = 2i <psi_+|H|psi_->, g'' = -4 <psi_+|H^2|psi_->; psi_- along psi_+ adds nothing to s'.
+    h_plus, h_minus = pair.hamiltonian.apply(np.stack([plus, minus]))
+    dg, ddg = 2j * np.vdot(h_plus, minus), -4.0 * np.vdot(h_plus, h_minus)
+    ds = -4.0 * (np.conj(g) * np.vdot(h_plus, perp)).imag
+    dds = 2.0 * (abs(dg) ** 2 + (np.conj(g) * ddg).real)
+    return float(abs(g) ** 2), float(ds), float(dds), gap
 
 
 def gui_state(pair: EncodedPair) -> GuiState:
     """Globally twirled two-copy state: only the full swap expectation survives."""
-    return GuiState(pair.layout, global_overlap(pair), pair.theta)
+    return GuiState(pair.layout, global_overlap_series(pair)[0], pair.theta)
 
 
 def gui_density(state: GuiState) -> DensityOperator:

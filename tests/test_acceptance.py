@@ -21,6 +21,9 @@ from framefree.fisher import (
     qfi_re_general,
 )
 from framefree.measure import (
+    DM,
+    LBM,
+    cfi,
     cfi_dm_from_overlap,
     cfi_grm_from_overlap,
     estimation_experiment,
@@ -108,11 +111,10 @@ def test_c03_closed_forms_match_pipeline():
         for probe, closed in ((ghz_state(n), qfi_ghz_closed),
                               (product_plus_state(n), qfi_product_closed)):
             fn = _pair_fn(probe)
-            spec_fn = lambda t: lui_spectrum(lui_coefficients(fn(t)))
             for theta in GRID:
                 want = closed(n, theta)
                 a = qfi_re_general(fn, theta).value
-                b = qfi_from_spectrum(spec_fn, theta).value
+                b = qfi_from_spectrum(swap_overlaps(fn(theta)), 2)
                 worst = max(worst, abs(a - want) / want, abs(b - want) / want)
     _report(3, "coefficient and spectrum paths match the closed forms",
             worst <= 1e-4, t0, 30.0, f"max rel err {worst:.1e}")
@@ -152,7 +154,7 @@ def test_c05_swap_readouts_saturate():
     fn = _pair_fn(psi)
     for theta in (0.2, 0.8):
         lst = fisher_from_coefficients(*swap_overlaps(fn(theta)))
-        want = qfi_re_general(fn, theta, step=0.0).value
+        want = qfi_re_general(fn, theta).value
         worst = max(worst, abs(lst - want) / max(want, 1.0))
     _report(5, "local swap test and Bell readout saturate the twirled optimum",
             worst <= 1e-9, t0, 10.0, f"max rel err {worst:.1e}")
@@ -201,7 +203,7 @@ def test_c09_global_twirl_comparison():
     gui_vals, lui_vals = [], []
     for theta in GRID:
         pair = make_pair(ghz_state(n), h, theta, RE)
-        got = qfi_gui_re(pair, step=0.0)
+        got = qfi_gui_re(pair)
         want = qfi_gui_ghz_closed(n, theta)
         worst = max(worst, abs(got - want))
         gui_vals.append(got)
@@ -265,8 +267,9 @@ def test_c13_crb_saturation():
     t0 = time.time()
     lbm_model = lambda t: probs_lbm(ghz_lui(2, t))
     dm_model = lambda t: probs_dm(ghz_lui(2, t))
-    lbm = estimation_experiment(lbm_model, 0.05, 100_000, 200, seed=SEED)
-    dm = estimation_experiment(dm_model, 0.05, 100_000, 200, seed=SEED + 1)
+    series = closed_overlaps("ghz", 2, 0.05)[:, popcounts(2)]
+    lbm = estimation_experiment(lbm_model, 0.05, cfi(LBM, series, 2), 100_000, 200, seed=SEED)
+    dm = estimation_experiment(dm_model, 0.05, cfi(DM, series, 2), 100_000, 200, seed=SEED + 1)
     ratio = lbm.variance / lbm.crb
     ok = 0.8 <= ratio <= 1.2 and dm.variance >= 5.0 * lbm.variance
     _report(13, "Bell readout saturates the bound; direct readout trails far behind",

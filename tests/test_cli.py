@@ -159,6 +159,10 @@ class TestScan:
                 want = ds * ds / (1 - s * s)
                 assert gui == gst
                 assert abs(gui - want) <= 1e-13 * want, (n, theta)
+            # below sqrt(tiny) the class sums are subnormal or 0: the value at 0
+            ceiling = 2.0 * n * n if probe == "ghz" else 2.0 * n
+            tiny = _scan_columns(probe, n, np.array([0.0, 1e-155, 1e-160, 1e-170]), ("qfi_gui",))
+            assert np.all(np.abs(tiny["qfi_gui"] - ceiling) <= 4e-16 * ceiling), tiny
 
     @pytest.mark.parametrize("sites", ["0", "65"])
     def test_sites_outside_scan_range_rejected(self, tmp_path, sites):

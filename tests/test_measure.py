@@ -5,12 +5,17 @@ import pytest
 
 from framefree.cli import _scan_columns
 from framefree.fisher import (
+    f0,
     fisher_from_coefficients,
+    qfi_from_spectrum,
     qfi_ghz_closed,
     qfi_gui_ghz_closed,
     qfi_re_general,
 )
 from framefree.measure import (
+    DM,
+    LBM,
+    LST,
     OutcomeDistribution,
     cfi,
     cfi_dm,
@@ -28,15 +33,17 @@ from framefree.measure import (
     probs_lst,
     sample_outcomes,
 )
-from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair
+from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import QuditLayout, hamming, popcounts
 from framefree.twirl import (
+    closed_gap,
     closed_overlaps,
     ghz_lui,
-    global_overlap,
+    global_overlap_series,
     lui_coefficients,
     lui_density,
     product_lui,
+    swap_overlaps,
 )
 
 from conftest import random_hermitian, random_state
@@ -48,6 +55,45 @@ def ghz_pair(n, theta):
 
 def ghz_overlap(n, theta):
     return math.cos(n * theta) ** 2, -n * math.sin(2 * n * theta)
+
+
+def model_information(model, theta, h=1e-5):
+    """Independent route: sum of (dp)^2 / p over an outcome model's classes,
+    dp by central difference of its probabilities."""
+    p = model(theta).probs
+    dp = (model(theta + h).probs - model(theta - h).probs) / (2.0 * h)
+    return float(np.sum(dp * dp / p))
+
+
+def mp_class_information(mp, probe, n, theta, kernel=None):
+    """60-digit reference: sum of (dp)^2 / p over the classes p = K c of the
+    closed probe's overlaps c (K the dense Kronecker power of the 2x2
+    `kernel`), or over the global swap test's classes (1 +/- s)/2 when
+    `kernel` is None; c' and c'' by mpmath differentiation at the float
+    angle, and a class at an exact zero takes its limit 2 p''."""
+    mp.mp.dps = 60
+
+    def overlap(w, t):
+        if probe == "product":
+            return mp.cos(t) ** (2 * w)
+        return mp.mpf(1) if w == 0 else mp.cos(n * t) ** 2 if w == n else mp.mpf(1) / 2
+
+    t = mp.mpf(theta)
+    rows = [[mp.diff(lambda x: overlap(w, x), t, k) for w in range(n + 1)] for k in range(3)]
+    if kernel is None:
+        rows = [[(k == 0) + sign * row[n] for sign in (1, -1)] for k, row in enumerate(rows)]
+        rows = [[v / 2 for v in row] for row in rows]
+    else:
+        k2 = [[mp.mpf(x) for x in r] for r in kernel]
+        weights = popcounts(n)
+        dense = [[mp.fprod(k2[(b >> i) & 1][(a >> i) & 1] for i in range(n))
+                  for a in range(1 << n)] for b in range(1 << n)]
+        rows = [[mp.fsum(dense[b][a] * row[weights[a]] for a in range(1 << n))
+                 for b in range(1 << n)] for row in rows]
+    total = mp.mpf(0)
+    for p, dp, ddp in zip(*rows):
+        total += 2 * ddp if abs(p) < mp.mpf(10) ** -45 else dp * dp / p
+    return float(total)
 
 
 class TestDmReadout:
@@ -91,6 +137,18 @@ class TestDmReadout:
             grouped[mask] += diag[x]
         assert np.allclose(probs_dm(lui).probs, grouped, atol=1e-10)
 
+    def test_information_matches_outcome_model_qutrits(self, rng):
+        # the coincidence kernel for d = 3 on the exact overlaps vs the
+        # central-difference information of the qutrit outcome model
+        lay = QuditLayout(2, 3, 1)
+        psi = random_state(2, rng, 3)
+        h = HamiltonianSpec.dense(lay, random_hermitian(lay.dim, rng))
+        pair_fn = lambda t: make_pair(psi, h, t, RE)
+        for theta in (0.3, 0.9):
+            got = cfi(DM, swap_overlaps(pair_fn(theta)), 3)
+            want = model_information(lambda t: probs_dm(lui_coefficients(pair_fn(t))), theta)
+            assert abs(got - want) <= 1e-6 * want, (theta, got, want)
+
     def test_closed_form_peak_n2(self):
         # maximum of the overlap-driven closed form for the GHZ probe at N=2
         grid = np.linspace(1e-4, np.pi / 2, 4001)
@@ -112,7 +170,7 @@ class TestDmReadout:
     def test_pair_interface_matches_kernel(self):
         pair = ghz_pair(2, 0.4)
         s, ds = ghz_overlap(2, 0.4)
-        assert abs(cfi_dm(pair, step=0.0) - cfi_dm_from_overlap(s, ds, 2)) < 1e-12
+        assert abs(cfi_dm(pair) - cfi_dm_from_overlap(s, ds, 2)) < 1e-12
 
 
 class TestGrmReadout:
@@ -134,7 +192,7 @@ class TestGrmReadout:
     def test_pair_interface(self):
         pair = ghz_pair(3, 0.3)
         s, ds = ghz_overlap(3, 0.3)
-        assert abs(cfi_grm(pair, step=0.0) - cfi_grm_from_overlap(s, ds, 3)) < 1e-12
+        assert abs(cfi_grm(pair) - cfi_grm_from_overlap(s, ds, 3)) < 1e-12
 
 
 class TestGlobalSwapTest:
@@ -151,25 +209,39 @@ class TestGlobalSwapTest:
             h = HamiltonianSpec.dense(lay, random_hermitian(lay.dim, rng))
             for mode in (RE, IE):
                 pair = make_pair(random_state(n, rng, d), h, 0.7, mode)
-                s = global_overlap(pair)
+                s = global_overlap_series(pair)[0]
                 dist = probs_gst(lui_coefficients(pair))
                 assert np.allclose(dist.probs, [(1 + s) / 2, (1 - s) / 2], rtol=0, atol=1e-12)
 
     def test_equals_global_twirl_information(self):
         for theta in (0.15, 0.5, 1.0):
-            got = cfi_gst(ghz_pair(2, theta), step=0.0)
+            got = cfi_gst(ghz_pair(2, theta))
             assert abs(got - qfi_gui_ghz_closed(2, theta)) < 1e-9
 
     def test_small_angle_recovers_ceiling(self):
-        got = cfi_gst(ghz_pair(2, 1e-4), step=0.0)
+        got = cfi_gst(ghz_pair(2, 1e-4))
         assert abs(got - 8.0) / 8.0 < 1e-3
 
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_pair_route_matches_mpmath_near_zero(self, probe):
+        # 1 - s from the part of psi_- orthogonal to psi_+, not from the
+        # rounded s, which put product N=3 at 3e-5 above its ceiling f0
+        mp = pytest.importorskip("mpmath")
+        for n in (1, 2, 3, 6, 10):
+            psi = ghz_state(n) if probe == "ghz" else product_plus_state(n)
+            h = HamiltonianSpec.pauli_z_sum(n)
+            ceiling = f0(psi, h)
+            for theta in (3e-5, 1e-4, 1e-3, 1e-2, 0.3):
+                got = cfi_gst(make_pair(psi, h, theta, RE))
+                want = mp_class_information(mp, probe, n, theta)
+                assert abs(got - want) <= 1e-12 * want, (n, theta, got, want)
+                assert got <= ceiling
+
     def test_stationary_guard(self):
-        assert cfi_gst_from_overlap(1.0, 0.0, 0.0, limit=6.0) == 6.0
-        with pytest.raises(RuntimeError, match="limit"):
-            cfi_gst_from_overlap(1.0, 0.0, 0.0)
-        with pytest.raises(RuntimeError, match="non-vanishing derivative"):
-            cfi_gst_from_overlap(1.0, 0.0, 1.0, limit=2.0)
+        # at s = 1 the class 1 - s takes its limit -s'' (= f0 for a pure probe)
+        assert cfi_gst_from_overlap(1.0, 0.0, 0.0, -6.0) == 6.0
+        with pytest.raises(RuntimeError, match="non-vanishing numerator"):
+            cfi_gst_from_overlap(1.0, 0.0, 1.0, -2.0)
 
 
 class TestLocalSwapTest:
@@ -201,9 +273,10 @@ class TestLocalSwapTest:
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
     def test_generic_helper_route(self):
-        got = cfi(lambda t: probs_lst(ghz_lui(2, t)), 0.37)
-        want = qfi_ghz_closed(2, 0.37)
-        assert abs(got - want) < 1e-6
+        got = cfi(LST, closed_overlaps("ghz", 2, 0.37)[:, popcounts(2)], 2)
+        want = model_information(lambda t: probs_lst(ghz_lui(2, t)), 0.37)
+        assert abs(got - want) < 1e-6 * want
+        assert abs(got - qfi_ghz_closed(2, 0.37)) < 1e-12 * got
 
 
 class TestLocalBellReadout:
@@ -243,8 +316,10 @@ class TestLocalBellReadout:
                 assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
     def test_generic_helper_route(self):
-        got = cfi(lambda t: probs_lbm(ghz_lui(2, t)), 0.37)
-        assert abs(got - qfi_ghz_closed(2, 0.37)) < 1e-6
+        got = cfi(LBM, closed_overlaps("ghz", 2, 0.37)[:, popcounts(2)], 2)
+        want = model_information(lambda t: probs_lbm(ghz_lui(2, t)), 0.37)
+        assert abs(got - want) < 1e-6 * want
+        assert abs(got - qfi_ghz_closed(2, 0.37)) < 1e-12 * got
 
 
 class TestStrategyOrdering:
@@ -256,19 +331,52 @@ class TestStrategyOrdering:
             ceiling = qfi_ghz_closed(n, theta) + 1e-6
             assert cfi_dm_from_overlap(s, ds, n) <= ceiling
             assert cfi_grm_from_overlap(s, ds, n) <= ceiling
-            assert cfi_gst_from_overlap(s, 1.0 - s, ds, limit=8.0) <= ceiling
+            dds = -2.0 * n * n * math.cos(2 * n * theta)
+            assert cfi_gst_from_overlap(s, closed_gap("ghz", n, theta), ds, dds) <= ceiling
             c, dc, ddc = closed_overlaps("ghz", n, theta)[:, popcounts(n)]
             assert fisher_from_coefficients(c, dc, ddc) <= ceiling
 
     def test_probability_route_matches_general_path(self, rng):
-        # dual route: outcome-model CFI vs coefficient-path information
+        # dual route: each sampled outcome model's information, by central
+        # difference of its probabilities, vs its kernel on the exact overlaps
         psi = random_state(2, rng)
         h = HamiltonianSpec.pauli_z_sum(2)
-        lui_fn = lambda t: lui_coefficients(make_pair(psi, h, t, RE))
+        pair_fn = lambda t: make_pair(psi, h, t, RE)
         for theta in (0.3, 0.9):
-            a = cfi(lambda t: probs_lst(lui_fn(t)), theta)
-            b = qfi_re_general(lambda t: make_pair(psi, h, t, RE), theta).value
-            assert abs(a - b) <= 1e-6 * max(b, 1e-9)
+            rows = swap_overlaps(pair_fn(theta))
+            for readout, probs in ((LST, probs_lst), (LBM, probs_lbm), (DM, probs_dm)):
+                a = cfi(readout, rows, 2)
+                b = model_information(lambda t: probs(lui_coefficients(pair_fn(t))), theta)
+                assert abs(a - b) <= 1e-6 * max(b, 1e-9), (readout, theta, a, b)
+            general = qfi_re_general(pair_fn, theta).value
+            assert abs(cfi(LST, rows, 2) - general) <= 1e-12 * general
+
+
+class TestReadoutInformation:
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_mpmath_at_stationary_angles(self, probe, n):
+        # every readout on the estimate model's overlaps (closed form, exact
+        # c' and c''), at 0, every k pi/(2N) and two generic angles, where
+        # the classes that vanish take their limit
+        mp = pytest.importorskip("mpmath")
+        ceiling = 2.0 * n * n if probe == "ghz" else 2.0 * n
+        dm_kernel = [[mp.mpf(2) / 3, -mp.mpf(1) / 3], [mp.mpf(1) / 3, mp.mpf(1) / 3]]
+        swap_kernel = [[0.5, 0.5], [0.5, -0.5]]
+        for theta in list(np.arange(2 * n + 1) * np.pi / (2 * n)) + [0.3, 0.8]:
+            series = closed_overlaps(probe, n, theta)[:, popcounts(n)]
+            s, ds, dds = series[:, -1]
+            swap = mp_class_information(mp, probe, n, theta, swap_kernel)
+            got = {
+                "dm": (cfi(DM, series, 2), mp_class_information(mp, probe, n, theta, dm_kernel)),
+                "lst": (cfi(LST, series, 2), swap),
+                "lbm": (cfi(LBM, series, 2), swap),
+                "spectrum": (qfi_from_spectrum(series, 2), swap),
+                "gst": (cfi_gst_from_overlap(s, closed_gap(probe, n, theta), ds, dds),
+                        mp_class_information(mp, probe, n, theta)),
+            }
+            for readout, (value, want) in got.items():
+                assert abs(value - want) <= 1e-12 * ceiling, (readout, theta, value, want)
 
 
 class TestDistributionValidityOverGrid:
@@ -334,20 +442,23 @@ class TestMle:
 class TestEstimationExperiment:
     def test_crb_saturation_lbm(self):
         model = lambda t: probs_lbm(ghz_lui(2, t))
-        run = estimation_experiment(model, 0.05, 100_000, 60, seed=2024)
+        information = cfi(LBM, closed_overlaps("ghz", 2, 0.05)[:, popcounts(2)], 2)
+        run = estimation_experiment(model, 0.05, information, 100_000, 60, seed=2024)
+        assert run.crb == 1.0 / (100_000 * information)
         assert 0.7 <= run.variance / run.crb <= 1.3
         assert run.boundary_hits == 0
 
     def test_deterministic(self):
         model = lambda t: probs_gst(lui_coefficients(ghz_pair(2, t)))
-        a = estimation_experiment(model, 0.1, 2_000, 8, seed=5)
-        b = estimation_experiment(model, 0.1, 2_000, 8, seed=5)
+        information = cfi_gst(ghz_pair(2, 0.1))
+        a = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
+        b = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
         assert a.estimate == b.estimate and a.variance == b.variance
 
     def test_rejects_single_repetition(self):
         model = lambda t: probs_lbm(ghz_lui(2, t))
         with pytest.raises(ValueError, match="repetitions"):
-            estimation_experiment(model, 0.1, 100, 1, seed=6)
+            estimation_experiment(model, 0.1, 8.0, 100, 1, seed=6)
 
 
 def test_distribution_validation():
@@ -355,8 +466,3 @@ def test_distribution_validation():
         OutcomeDistribution(("a", "b"), np.array([1.1, -0.1]), 0.0, "dm")
     with pytest.raises(ValueError, match="sum"):
         OutcomeDistribution(("a", "b"), np.array([0.7, 0.7]), 0.0, "dm")
-
-
-def test_cfi_requires_positive_step():
-    with pytest.raises(ValueError, match="step"):
-        cfi(lambda t: probs_lbm(ghz_lui(2, t)), 0.3, step=0.0)

@@ -21,8 +21,7 @@ from framefree.twirl import (
     closed_overlaps,
     g_twirl_apply,
     ghz_lui,
-    global_overlap,
-    global_overlap_derivative,
+    global_overlap_series,
     gui_density,
     gui_state,
     lui_coefficients,
@@ -314,12 +313,14 @@ class TestGui:
 
     def test_overlap_derivative_exact(self, rng):
         psi = random_state(2, rng)
-        h = 1e-6
-        pair = z_sum_pair(psi, 0.6)
-        fd = (global_overlap(z_sum_pair(psi, 0.6 + h))
-              - global_overlap(z_sum_pair(psi, 0.6 - h))) / (2 * h)
-        assert np.isclose(global_overlap_derivative(pair), fd, atol=1e-8)
-        assert global_overlap_derivative(z_sum_pair(psi, 0.6, IE)) == 0.0
+        h = 1e-4
+        s, ds, dds, gap = global_overlap_series(z_sum_pair(psi, 0.6))
+        up, down = (global_overlap_series(z_sum_pair(psi, 0.6 + x))[0] for x in (h, -h))
+        assert np.isclose(ds, (up - down) / (2 * h), atol=1e-8)
+        assert np.isclose(dds, (up - 2 * s + down) / (h * h), atol=1e-6)
+        assert np.isclose(gap, 1.0 - s, rtol=0, atol=1e-15)
+        s, ds, dds, gap = global_overlap_series(z_sum_pair(psi, 0.6, IE))
+        assert (ds, dds, gap) == (0.0, 0.0, 0.0)
 
 
 class TestMcLocalTwirl:
