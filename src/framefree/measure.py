@@ -250,6 +250,9 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions to estimate a variance")
+    if not 0.0 < information < np.inf:
+        raise ValueError(f"information {information} at the true angle is not finite and "
+                         "positive, so there is no Cramer-Rao bound to compare with")
     if window is None:
         window = default_window(true_theta)
     crb = 1.0 / (shots * information)

@@ -133,7 +133,7 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({self.layout.dim},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # written so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         self.amplitudes = amps
 
@@ -153,15 +153,23 @@ class DensityOperator:
         dim = self.layout.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
+        # every test is written so that a NaN entry fails it
         herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > HERMITIAN_ATOL * max(1.0, np.max(np.abs(mat))):
+        if not herm_err <= HERMITIAN_ATOL * max(1.0, np.max(np.abs(mat))):
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_err})")
         tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -PSD_ATOL:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        # a Cholesky factor of mat + (PSD_ATOL / 2) I proves the smallest
+        # eigenvalue above -PSD_ATOL; without one the spectrum decides
+        shifted = mat.copy()
+        shifted.flat[:: dim + 1] += PSD_ATOL / 2
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(mat)[0])
+            if not lo >= -PSD_ATOL:
+                raise ValueError(f"matrix has negative eigenvalue {lo}") from None
         self.matrix = mat
 
 
@@ -218,42 +226,52 @@ def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
     return DensityOperator(out_layout, mat)
 
 
-def swap_operator(site_mask: int, layout: QuditLayout) -> np.ndarray:
-    """Permutation matrix exchanging copy A and copy B on the selected sites.
-
-    The result is an involution (S @ S = identity) and Hermitian.
-    """
+def swap_permutation(site_mask: int, layout: QuditLayout) -> np.ndarray:
+    """Basis index that the copy exchange on the selected sites sends each
+    two-copy basis index to; the permutation is an involution."""
     if layout.copies != 2:
-        raise ValueError("swap_operator requires a two-copy layout")
+        raise ValueError("the copy exchange requires a two-copy layout")
     n, d = layout.n_sites, layout.local_dim
     if site_mask < 0 or site_mask >= (1 << n):
         raise ValueError(f"site mask {site_mask:#x} out of range for {n} sites")
-    dim = layout.dim
-    idx = np.arange(dim)
+    idx = np.arange(layout.dim)
     perm = idx.copy()
     for i in range(n):
         if (site_mask >> i) & 1:
             dig_a = (idx // d**i) % d
             dig_b = (idx // d ** (n + i)) % d
             perm = perm + (dig_b - dig_a) * d**i + (dig_a - dig_b) * d ** (n + i)
-    op = np.zeros((dim, dim), dtype=complex)
-    op[perm, idx] = 1.0
+    return perm
+
+
+def swap_operator(site_mask: int, layout: QuditLayout) -> np.ndarray:
+    """Permutation matrix exchanging copy A and copy B on the selected sites.
+
+    The result is an involution (S @ S = identity) and Hermitian.
+    """
+    perm = swap_permutation(site_mask, layout)
+    op = np.zeros((layout.dim, layout.dim), dtype=complex)
+    op[perm, np.arange(layout.dim)] = 1.0
     return op
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: complex Ginibre, QR, then R-phase correction.
+def haar_unitary(d: int, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """Haar-distributed unitary: complex Ginibre, QR, then R-phase correction
+    (Mezzadri, Notices AMS 54, 2007).  A `shape` draws a stack of that shape
+    whose matrices equal those of as many single calls, in C order.
 
     Each column of Q is multiplied by conj(R_ii)/|R_ii|; without the phase
     fix the raw QR output is unitary but not Haar.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    ginibre = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    # per matrix the real part's d x d normals, then the imaginary part's
+    z = rng.standard_normal(tuple(shape) + (2, d, d))
+    ginibre = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.conj(diag) / np.abs(diag)
-    return q * phases[np.newaxis, :]
+    return q * phases[..., np.newaxis, :]
 
 
 def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
@@ -267,7 +285,7 @@ def hermitian_eig(op, atol: float = 1e-10):
     """Ascending eigenvalues and eigenvector columns of a Hermitian matrix."""
     mat = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
     herm_err = np.max(np.abs(mat - mat.conj().T))
-    if herm_err > atol * max(1.0, np.max(np.abs(mat))):
+    if not herm_err <= atol * max(1.0, np.max(np.abs(mat))):  # NaN fails
         raise ValueError(f"input is not Hermitian (max deviation {herm_err})")
     vals, vecs = np.linalg.eigh(mat)
     return vals, vecs

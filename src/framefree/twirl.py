@@ -25,6 +25,7 @@ from .tensor import (
     popcounts,
     subset_transform,
     swap_operator,
+    swap_permutation,
 )
 
 COEFF_RANGE_TOL = 1e-10
@@ -232,14 +233,17 @@ def product_lui(n: int, theta: float) -> LuiState:
 
 
 def _lui_matrix(lui: LuiState) -> np.ndarray:
-    """Dense two-copy matrix of the invariant state, without state validation."""
+    """Dense two-copy matrix of the invariant state, without state validation:
+    sum_m w_m S_m / (d^2 - 1)^N, real and symmetric.  Each swap S_m is a
+    permutation, so its weight is scattered onto its dim entries."""
     lay2 = lui.layout.two_copy()
-    n, d = lay2.n_sites, lay2.local_dim
+    n, d, dim = lay2.n_sites, lay2.local_dim, lay2.dim
     weights = subset_transform(lui.coeffs, [[1.0, -1.0 / d], [-1.0 / d, 1.0]])
-    acc = np.zeros((lay2.dim, lay2.dim), dtype=complex)
-    for m in range(1 << n):
-        acc += weights[m] * swap_operator(m, lay2)
-    return acc / (d * d - 1.0) ** n
+    weights /= (d * d - 1.0) ** n
+    cols = np.arange(dim)
+    flat = np.concatenate([swap_permutation(m, lay2) * dim + cols for m in range(1 << n)])
+    acc = np.bincount(flat, np.repeat(weights, dim), minlength=dim * dim)
+    return acc.reshape(dim, dim)
 
 
 def lui_density(lui: LuiState) -> DensityOperator:
@@ -300,13 +304,20 @@ def mc_local_twirl(pair: EncodedPair, samples: int, rng: np.random.Generator) ->
     lay = pair.layout
     lay2 = lay.two_copy()
     n, d = lay.n_sites, lay.local_dim
+    amps = np.stack([pair.psi_minus.amplitudes, pair.psi_plus.amplitudes])
     acc = np.zeros((lay2.dim, lay2.dim), dtype=complex)
-    for _ in range(samples):
-        rot = local_unitary([haar_unitary(d, rng) for _ in range(n)])
-        a = rot @ pair.psi_plus.amplitudes
-        b = rot @ pair.psi_minus.amplitudes
-        full = np.kron(b, a)
-        acc += np.outer(full, full.conj())
+    # a batch's stacked two-copy vectors hold at most 2^20 entries
+    batch = max(1, (1 << 20) // lay2.dim)
+    for start in range(0, samples, batch):
+        size = min(batch, samples - start)
+        rots = haar_unitary(d, rng, (size, n))
+        # rows (sample, copy); site s is the middle axis of (d^(n-1-s), d, d^s)
+        v = np.broadcast_to(amps, (size, 2, lay.dim))
+        for s in range(n):
+            v = rots[:, s, None, None] @ v.reshape(size, 2, d ** (n - 1 - s), d, d ** s)
+        v = v.reshape(size, 2, lay.dim)
+        full = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(size, lay2.dim)
+        acc += full.T @ full.conj()
     acc /= samples
     acc = (acc + acc.conj().T) / 2.0
     acc /= acc.trace().real
@@ -325,6 +336,13 @@ def g_twirl_apply(rho: DensityOperator, rotations) -> DensityOperator:
     for u in rotations:
         if u.shape != (lay.local_dim, lay.local_dim) or not is_unitary(u):
             raise ValueError("rotations must be local_dim x local_dim unitaries")
-    single = local_unitary(rotations)
-    w = np.kron(single, single)
-    return DensityOperator(lay, w @ rho.matrix @ w.conj().T)
+    # W = U (x) U with U = local_unitary(rotations); rows and columns of rho
+    # are (copy B, copy A), so W rho W^dag is U on each copy, row side and
+    # column side, one product each
+    u = local_unitary(rotations)
+    dd = u.shape[0]
+    out = u @ rho.matrix.reshape(dd, -1)  # copy B, rows
+    out = u @ out.reshape(dd, dd, -1)  # copy A, rows
+    out = out.reshape(-1, dd) @ u.conj().T  # copy A, columns
+    out = u.conj() @ out.reshape(-1, dd, dd)  # copy B, columns
+    return DensityOperator(lay, out.reshape(dd * dd, dd * dd))

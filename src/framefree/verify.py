@@ -72,30 +72,28 @@ def _group_element(query: CommutantQuery, rng: np.random.Generator) -> np.ndarra
     return np.kron(single, single) if query.copies == 2 else single
 
 
-def _restrict(basis: list, w: np.ndarray) -> list:
-    """Cut a matrix-space basis down to the kernel of X -> W X W^dag - X."""
-    if not basis:
-        return []
-    cols = np.stack([(w @ b @ w.conj().T - b).ravel() for b in basis], axis=1)
-    _, svals, vh = np.linalg.svd(cols, full_matrices=False)
+def _restrict(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cut a matrix-space basis, stacked along axis 0, down to the kernel of
+    X -> W X W^dag - X."""
     r = len(basis)
+    if not r:
+        return basis
+    cols = (w @ basis @ w.conj().T - basis).reshape(r, -1).T
+    _, svals, vh = np.linalg.svd(cols, full_matrices=False)
     # columns of unit-norm operators under unitary conjugation have scale <= 2,
     # so anchor the rank cutoff at 1 to survive the all-commuting case
     cutoff = NULLSPACE_RTOL * max(svals[0], 1.0)
     rank = int(np.sum(svals > cutoff))
-    if rank == r:
-        return []
-    mix = vh[rank:].conj()  # rows span the kernel, orthonormal
-    stacked = np.stack([b.ravel() for b in basis], axis=1)
-    dim = basis[0].shape[0]
-    return [(stacked @ row).reshape(dim, dim) for row in mix]
+    # rows of vh[rank:].conj() span the kernel, orthonormal
+    return np.tensordot(vh[rank:].conj(), basis, axes=1)
 
 
-def _initial_basis(w: np.ndarray) -> list:
+def _initial_basis(w: np.ndarray) -> np.ndarray:
     """Basis of all operators block-diagonal in the eigenspaces of W + W^dag.
 
-    Anything commuting with W also commutes with its Hermitian part, so this
-    is a superset of the target space; later probes cut it down.
+    Anything commuting with the group commutes with every element W of its
+    algebra and with W^dag, so with their Hermitian sum: this is a superset
+    of the target space; later probes cut it down.
     """
     vals, vecs = hermitian_eig(w + w.conj().T)
     clusters = []
@@ -109,27 +107,28 @@ def _initial_basis(w: np.ndarray) -> list:
         for i in cluster:
             for j in cluster:
                 basis.append(np.outer(vecs[:, i], vecs[:, j].conj()))
-    return basis
+    return np.stack(basis)
 
 
 def commutant_dimension(query: CommutantQuery, rng: np.random.Generator) -> CommutantResult:
     """Dimension of the commutant of the sampled symmetry group.
 
     The complex dimension of the commutant equals the real dimension of its
-    Hermitian part (the space is closed under the adjoint).  The result is
-    flagged unstable if four additional probes still shrink it.
+    Hermitian part (the space is closed under the adjoint).  The start is
+    block-diagonal for the sum of the first two elements: one element's
+    eigenspaces merge irreps that share a weight, a generic sum's do not.
+    The result is flagged unstable if four additional probes still shrink it.
     """
-    first = _group_element(query, rng)
-    basis = _initial_basis(first)
-    basis = _restrict(basis, first)
-    for _ in range(query.probe_count - 1):
-        basis = _restrict(basis, _group_element(query, rng))
+    elements = [_group_element(query, rng) for _ in range(max(query.probe_count, 1))]
+    basis = _initial_basis(sum(elements[:2]))
+    for w in elements:
+        basis = _restrict(basis, w)
     dim = len(basis)
     for _ in range(4):
         basis = _restrict(basis, _group_element(query, rng))
     stable = len(basis) == dim
     dim = len(basis)
-    traces = np.array([b.trace() for b in basis]) if basis else np.zeros(0)
+    traces = np.trace(basis, axis1=1, axis2=2)
     has_trace = bool(np.linalg.norm(traces) > 1e-8)
     return CommutantResult(dim, dim - int(has_trace), stable)
 

@@ -304,6 +304,12 @@ class TestEstimate:
     def test_zero_shots_rejected(self):
         assert main(["estimate", "--shots", "0"]) == 2
 
+    def test_zero_information_rejected(self, capsys):
+        # the direct readout carries no information at theta = 0
+        assert main(["estimate", "--strategies", "dm", "--true-theta", "0",
+                     "--shots", "10", "--reps", "2"]) == 2
+        assert "not finite and positive" in capsys.readouterr().err
+
     def test_lbm_short_run_reasonable(self, tmp_path):
         out = tmp_path / "lbm.json"
         assert main(["estimate", "--strategies", "lbm", "--true-theta", "0.05",

@@ -460,6 +460,12 @@ class TestEstimationExperiment:
         with pytest.raises(ValueError, match="repetitions"):
             estimation_experiment(model, 0.1, 8.0, 100, 1, seed=6)
 
+    @pytest.mark.parametrize("information", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_information_not_finite_and_positive(self, information):
+        model = lambda t: probs_lbm(ghz_lui(2, t))
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimation_experiment(model, 0.1, information, 100, 2, seed=6)
+
 
 def test_distribution_validation():
     with pytest.raises(ValueError, match="negative"):

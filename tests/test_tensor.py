@@ -70,6 +70,32 @@ class TestStateAndDensity:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator(lay, np.diag([1.5, -0.5]).astype(complex))
 
+    def test_non_finite_entries_rejected(self):
+        lay = QuditLayout(2, 2, 1)
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(lay, [1, 0, 0, np.nan])
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(lay, m)
+
+    @pytest.mark.parametrize("lowest, accepted", [(-0.9e-10, True), (-1.1e-10, False)])
+    def test_psd_gate_boundary(self, lowest, accepted):
+        # the Cholesky factor fails on both sides of -PSD_ATOL, so the
+        # spectrum decides at the threshold
+        u = haar_unitary(4, np.random.default_rng(8))
+        mat = u @ np.diag([0.5, 0.3, 0.2 - lowest, lowest]) @ u.conj().T
+        lay = QuditLayout(2, 2, 1)
+        if accepted:
+            DensityOperator(lay, mat)
+        else:
+            with pytest.raises(ValueError, match=r"negative eigenvalue -1\.(1|09)"):
+                DensityOperator(lay, mat)
+
+    def test_rank_one_state_accepted(self, rng):
+        psi = random_state(6, rng, 3)
+        DensityOperator(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
 
 class TestKron:
     def test_identity(self):
@@ -178,17 +204,21 @@ class TestHaar:
         u2 = haar_unitary(3, np.random.default_rng(99))
         assert np.array_equal(u1, u2)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_stack_equals_sequential_calls(self, d):
+        stack = haar_unitary(d, np.random.default_rng(17), (4, 3))
+        rng = np.random.default_rng(17)
+        sequential = [[haar_unitary(d, rng) for _ in range(3)] for _ in range(4)]
+        assert np.array_equal(stack, np.array(sequential))
+
     def test_first_moment(self):
         # Monte-Carlo oracle: E[U rho U^dag] = I/d
         rng = np.random.default_rng(101)
         d = 2
         rho = np.diag([1.0, 0.0]).astype(complex)
-        acc = np.zeros((d, d), dtype=complex)
         n = 10_000
-        for _ in range(n):
-            u = haar_unitary(d, rng)
-            acc += u @ rho @ u.conj().T
-        acc /= n
+        u = haar_unitary(d, rng, (n,))
+        acc = np.sum(u @ rho @ u.conj().swapaxes(-1, -2), axis=0) / n
         diff = acc - np.eye(d) / d
         dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
         assert dist <= 0.05
@@ -196,9 +226,7 @@ class TestHaar:
     def test_two_moment(self):
         rng = np.random.default_rng(555)
         n = 100_000
-        total = 0.0
-        for _ in range(n):
-            total += abs(haar_unitary(2, rng)[0, 0]) ** 2
+        total = np.sum(np.abs(haar_unitary(2, rng, (n,))[:, 0, 0]) ** 2)
         assert abs(total / n - 0.5) < 0.01
 
 
@@ -221,6 +249,8 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eig(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_local_unitary_site_order():

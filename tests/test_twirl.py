@@ -4,9 +4,12 @@ import pytest
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
     WALSH_KERNEL,
+    DensityOperator,
     QuditLayout,
     StateVector,
+    haar_unitary,
     hamming,
+    local_unitary,
     partial_trace,
     popcounts,
     ptrace_matrix,
@@ -16,6 +19,7 @@ from framefree.tensor import (
 )
 from framefree.twirl import (
     LuiState,
+    _lui_matrix,
     closed_families,
     closed_gap,
     closed_overlaps,
@@ -280,6 +284,21 @@ class TestLuiDensity:
             dense = lui_density(lui_coefficients(z_sum_pair(psi, 0.9))).matrix
             assert np.isclose(dense.trace().real, 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2),
+                                      (1, 3), (2, 3), (3, 3)])
+    def test_scatter_matches_swap_operator_sum(self, rng, n, d):
+        # oracle: the weighted sum of dense swap operators
+        lay = QuditLayout(n, d, 1)
+        lui = LuiState(lay, rng.uniform(0.0, 1.0, 1 << n), RE, 0.0)
+        weights = subset_transform(lui.coeffs, [[1.0, -1.0 / d], [-1.0 / d, 1.0]])
+        expected = np.zeros((lay.dim ** 2, lay.dim ** 2), dtype=complex)
+        for m in range(1 << n):
+            expected += weights[m] * swap_operator(m, lay.two_copy())
+        expected /= (d * d - 1.0) ** n
+        got = _lui_matrix(lui)
+        assert got.dtype == float
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
     def test_matches_brute_force_single_site_twirl(self, rng):
         # oracle: Monte-Carlo twirl of |psi><psi| x |psi><psi| at one site
         psi = random_state(1, rng)
@@ -345,6 +364,25 @@ class TestMcLocalTwirl:
             got = trace_product(swap_operator(mask, lay2), sampled.matrix).real
             assert abs(got - coeffs[mask]) < 0.05
 
+    @pytest.mark.parametrize("n, d, samples", [(1, 2, 500), (2, 2, 500), (3, 2, 500),
+                                               (2, 3, 500), (4, 2, 4200)])
+    def test_matches_per_sample_loop(self, rng, n, d, samples):
+        # oracle: one rotation and one outer product per sample, drawn in the
+        # same order; 4200 samples at N=4 take two batches
+        pair = make_pair(random_state(n, rng, d), HamiltonianSpec.dense(
+            QuditLayout(n, d, 1), random_hermitian(d ** n, rng)), 0.7, RE)
+        loop_rng = np.random.default_rng(31)
+        acc = np.zeros((d ** (2 * n), d ** (2 * n)), dtype=complex)
+        for _ in range(samples):
+            rot = local_unitary([haar_unitary(d, loop_rng) for _ in range(n)])
+            full = np.kron(rot @ pair.psi_minus.amplitudes, rot @ pair.psi_plus.amplitudes)
+            acc += np.outer(full, full.conj())
+        acc /= samples
+        acc = (acc + acc.conj().T) / 2.0
+        acc /= acc.trace().real
+        got = mc_local_twirl(pair, samples, np.random.default_rng(31)).matrix
+        assert np.max(np.abs(got - acc)) <= 1e-14
+
     def test_rejects_zero_samples(self, rng):
         with pytest.raises(ValueError, match="samples"):
             mc_local_twirl(z_sum_pair(random_state(1, rng), 0.1), 0, rng)
@@ -379,6 +417,19 @@ class TestGTwirlApply:
         rotations = [haar_unitary(2, rng) for _ in range(2)]
         out = g_twirl_apply(dense, rotations)
         assert trace_dist(out.matrix, dense.matrix) > 0.1
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (1, 3), (2, 3)])
+    def test_matches_kron_conjugation(self, rng, n, d):
+        # oracle: W rho W^dag with W = U (x) U built densely
+        lay2 = QuditLayout(n, d, 2)
+        g = rng.standard_normal((lay2.dim, 3)) + 1j * rng.standard_normal((lay2.dim, 3))
+        rho = g @ g.conj().T
+        dense = DensityOperator(lay2, rho / rho.trace().real)
+        rotations = [haar_unitary(d, rng) for _ in range(n)]
+        w = np.kron(local_unitary(rotations), local_unitary(rotations))
+        expected = w @ dense.matrix @ w.conj().T
+        out = g_twirl_apply(dense, rotations)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-13
 
     def test_rejects_non_unitary(self, rng):
         pair = z_sum_pair(random_state(2, rng), 0.4)

@@ -46,8 +46,10 @@ class TestCommutant:
         assert res.dimension == 2  # identity and the full swap
 
     def test_qutrit_site(self):
-        res = commutant_dimension(CommutantQuery(1, 3, 2), np.random.default_rng(53))
-        assert res.dimension == 2
+        for n, expected in ((1, 2), (2, 4)):
+            res = commutant_dimension(CommutantQuery(n, 3, 2), np.random.default_rng(53))
+            assert res.dimension == expected
+            assert res.stable
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError, match="exceeds"):
