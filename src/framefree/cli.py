@@ -248,7 +248,7 @@ def run_estimate(cfg: dict) -> dict:
         raise ValueError(f"estimate strategy must be one of {tuple(ESTIMATE_READOUTS)}")
     readout = ESTIMATE_READOUTS[strategy]
 
-    def model(t: float) -> measure.OutcomeDistribution:
+    def model(t: np.ndarray) -> measure.OutcomeDistribution:
         return readout(twirl.closed_lui(probe, n, t))
 
     rows = twirl.closed_overlaps(probe, n, true_theta)

@@ -52,6 +52,8 @@ def _spectrum(n: int, d: int):
 def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
     """Eigenvalues of the dense invariant state, indexed by the mask of
     antisymmetric sites, with combinatorial degeneracies."""
+    if lui.coeffs.ndim != 1:
+        raise ValueError("the spectrum is listed for a single state")
     kernel, deg = _spectrum(lui.n_sites, lui.layout.local_dim)
     lam = subset_transform(lui.coeffs, kernel)
     return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(lam.size)]

@@ -6,6 +6,7 @@ mask for swap tests and Bell readout); grouping preserves the information
 because probabilities inside a class coincide.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,24 +29,26 @@ LBM = "lbm"
 
 @dataclass(eq=False)
 class OutcomeDistribution:
-    """Probabilities over outcome classes at a fixed encoding angle."""
+    """Probabilities over outcome classes on the last axis, at the encoding
+    angle `theta`, or one row per angle of an array, each row on its own."""
 
     labels: tuple
     probs: np.ndarray
-    theta: float
+    theta: float | np.ndarray
     strategy: str
     multiplicity: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if len(self.labels) != p.size:
+        if (len(self.labels),) != p.shape[-1:]:
             raise ValueError("one label per probability expected")
-        if p.min() < PROB_ATOL:
-            raise ValueError(f"negative probability {p.min()}")
-        total = p.sum()
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {total}")
-        self.probs = np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
+        if not p.min() >= PROB_ATOL:  # also turns away NaN
+            raise ValueError(f"negative or undefined probability {p.min()}")
+        worst = np.abs(p.sum(axis=-1) - 1.0).max()
+        if not worst <= PROB_SUM_ATOL:
+            raise ValueError(f"probabilities sum to 1 +/- {worst}")
+        p = np.clip(p, 0.0, None)
+        self.probs = p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -79,14 +82,19 @@ def _dm_kernel(d: int) -> np.ndarray:
     return np.array([[d / (d + 1.0), -1.0 / (d + 1.0)], [1.0 / (d + 1.0), 1.0 / (d + 1.0)]])
 
 
+@functools.cache
+def _mask_labels(kind: str, n: int) -> tuple:
+    return tuple(f"{kind}:{m:0{n}b}" for m in range(1 << n))
+
+
 def probs_dm(lui: LuiState) -> OutcomeDistribution:
     """Both-copy computational-basis readout after the local twirl, grouped
     by the mask of sites whose two copies coincide."""
     n, d = lui.n_sites, lui.layout.local_dim
     probs = subset_transform(lui.coeffs, _dm_kernel(d))
     mult = d**n * (d - 1) ** (n - popcounts(n))
-    labels = tuple(f"coincide:{m:0{n}b}" for m in range(1 << n))
-    return OutcomeDistribution(labels, probs, lui.theta, DM, multiplicity=mult)
+    return OutcomeDistribution(_mask_labels("coincide", n), probs, lui.theta, DM,
+                               multiplicity=mult)
 
 
 def cfi_dm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
@@ -130,8 +138,8 @@ def probs_gst(lui: LuiState) -> OutcomeDistribution:
     """Ancilla readout of the global swap test: p_+/- = (1 +/- <S>)/2, with
     <S> the full-mask overlap.  The full swap commutes with collective
     rotations, so the local twirl keeps <S>."""
-    s = lui.coeffs[-1]
-    return OutcomeDistribution(("+", "-"), np.array([(1 + s) / 2, (1 - s) / 2]),
+    s = lui.coeffs[..., -1]
+    return OutcomeDistribution(("+", "-"), np.stack([(1 + s) / 2, (1 - s) / 2], axis=-1),
                                lui.theta, GST)
 
 
@@ -161,16 +169,15 @@ def _class_probs(lui: LuiState) -> np.ndarray:
     """Probabilities of the antisymmetric-site-mask classes: the signed
     coefficient sums over 2^N."""
     p = subset_transform(lui.coeffs, SWAP_TEST_KERNEL)
-    if p.min() < -CLASS_PROB_TOL:
+    if not p.min() >= -CLASS_PROB_TOL:
         raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
     return p
 
 
 def probs_lst(lui: LuiState) -> OutcomeDistribution:
     """Per-site ancilla bitstring probabilities of the local swap test."""
-    n = lui.n_sites
-    labels = tuple(f"ancilla:{b:0{n}b}" for b in range(1 << n))
-    return OutcomeDistribution(labels, _class_probs(lui), lui.theta, LST)
+    return OutcomeDistribution(_mask_labels("ancilla", lui.n_sites), _class_probs(lui),
+                               lui.theta, LST)
 
 
 def probs_lbm(lui: LuiState) -> OutcomeDistribution:
@@ -180,8 +187,8 @@ def probs_lbm(lui: LuiState) -> OutcomeDistribution:
         raise ValueError("Bell readout is defined for qubits")
     n = lui.n_sites
     mult = 3 ** (n - popcounts(n))
-    labels = tuple(f"singlet:{b:0{n}b}" for b in range(1 << n))
-    return OutcomeDistribution(labels, _class_probs(lui), lui.theta, LBM, multiplicity=mult)
+    return OutcomeDistribution(_mask_labels("singlet", n), _class_probs(lui), lui.theta, LBM,
+                               multiplicity=mult)
 
 
 # -- sampling and estimation
@@ -194,41 +201,48 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, rng: np.random.Genera
     return rng.multinomial(shots, dist.probs)
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    return float(counts @ np.log(np.clip(probs, 1e-300, None)))
+def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    # stacked 1 x K by K x 1 products round each row as its dot product does
+    logp = np.log(np.clip(probs, 1e-300, None))
+    return (counts[..., None, :] @ logp[..., :, None])[..., 0, 0]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-7) -> float:
+def _golden_max(f, lo, hi, tol: float = 1e-7) -> np.ndarray:
+    """Golden-section maxima of f, which maps an array of angles to values,
+    on every interval [lo, hi] of the broadcast arrays in lockstep: one call
+    of f per step, each element taking the branches and float operations of
+    the scalar search and stopping on its own once below tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    while (live := b - a > tol).any():
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(live, np.where(left, new_l, new_r), old) for new_l, new_r, old in
+                        ((x, d, c), (c, x, d), (fx, fd, fc), (fc, fx, fd)))
     return 0.5 * (a + b)
 
 
 def mle_estimate(counts: np.ndarray, model, window: tuple, tol: float = 1e-7):
-    """Golden-section maximum-likelihood estimate over the window.
+    """Golden-section maximum-likelihood estimates over the window for the
+    counts vectors on the last axis, searched in lockstep; `model` maps an
+    array of angles to their stacked OutcomeDistribution.
 
-    Returns (estimate, at_boundary); a maximizer pinned to either edge is
-    flagged rather than silently returned.
+    Returns (estimates, at_boundary) of shape counts.shape[:-1]; a maximizer
+    pinned to either edge is flagged rather than silently returned.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("empty search window")
     counts = np.asarray(counts)
-    est = _golden_max(lambda t: _log_likelihood(counts, model(t).probs), lo, hi, tol)
-    at_boundary = est - lo < 10 * tol or hi - est < 10 * tol
-    return est, at_boundary
+    lo_all = np.full(counts.shape[:-1], lo, dtype=float)
+    est = _golden_max(lambda t: _log_likelihood(counts, model(t).probs), lo_all, hi, tol)
+    at_boundary = (est - lo < 10 * tol) | (hi - est < 10 * tol)
+    return est[()], at_boundary[()]
 
 
 def default_window(true_theta: float) -> tuple:
@@ -244,9 +258,11 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
                           window: tuple | None = None) -> EstimationRun:
     """Repeated sample-and-estimate runs against the Cramer-Rao bound.
 
-    Repetitions use independently derived streams; the empirical variance of
-    the estimates is compared to 1/(shots * F), with F = `information` the
-    model's information at the true angle (`cfi` on the same overlaps).
+    `model` is elementwise over an array of angles.  Repetitions use
+    independently derived streams and are estimated together, in blocks of
+    at most 2^20 counts; the empirical variance of the estimates is compared
+    to 1/(shots * F), with F = `information` the model's information at the
+    true angle (`cfi` on the same overlaps).
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions to estimate a variance")
@@ -257,23 +273,20 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
         window = default_window(true_theta)
     crb = 1.0 / (shots * information)
     dist = model(true_theta)
-    estimates = np.empty(repetitions)
-    boundary_hits = 0
-    pooled = np.zeros(dist.probs.size, dtype=np.int64)
-    for rep in range(repetitions):
-        rng = np.random.default_rng([seed, rep])
-        counts = sample_outcomes(dist, shots, rng)
-        pooled += counts
-        est, flagged = mle_estimate(counts, model, window)
-        estimates[rep] = est
-        boundary_hits += int(flagged)
+    counts = np.stack([sample_outcomes(dist, shots, np.random.default_rng([seed, rep]))
+                       for rep in range(repetitions)])
+    estimates, flagged = np.empty(repetitions), np.empty(repetitions, dtype=bool)
+    block = max(1, (1 << 20) // dist.probs.size)
+    for start in range(0, repetitions, block):
+        part = slice(start, start + block)
+        estimates[part], flagged[part] = mle_estimate(counts[part], model, window)
     return EstimationRun(
         true_theta=true_theta,
         shots=shots,
-        outcomes=pooled,
+        outcomes=counts.sum(axis=0),
         estimate=float(estimates.mean()),
         variance=float(estimates.var(ddof=1)),
         crb=crb,
-        boundary_hits=boundary_hits,
+        boundary_hits=int(flagged.sum()),
         repetitions=repetitions,
     )

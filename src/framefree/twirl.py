@@ -33,19 +33,21 @@ COEFF_RANGE_TOL = 1e-10
 
 @dataclass(eq=False)
 class LuiState:
-    """Local-unitary-invariant state: 2^N real swap-mask overlap coefficients."""
+    """Local-unitary-invariant state: 2^N swap-mask overlaps per angle of `theta`."""
 
     layout: QuditLayout
     coeffs: np.ndarray
     mode: str
-    theta: float
+    theta: float | np.ndarray
 
     def __post_init__(self):
         if self.layout.copies != 1:
             raise ValueError("LuiState carries the single-copy layout")
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (1 << self.layout.n_sites,):
-            raise ValueError(f"expected {1 << self.layout.n_sites} coefficients")
+        if c.shape != np.shape(self.theta) + (1 << self.layout.n_sites,):
+            raise ValueError(f"expected {1 << self.layout.n_sites} coefficients per angle")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         self.coeffs = c
 
     @property
@@ -214,10 +216,10 @@ def closed_gap(probe: str, n: int, theta) -> np.ndarray:
         return -np.expm1(n * np.log1p(-np.sin(t) ** 2))
 
 
-def closed_lui(probe: str, n: int, theta: float) -> LuiState:
+def closed_lui(probe: str, n: int, theta) -> LuiState:
     """Twirled two-copy state of the GHZ or product-plus probe under the
-    half-weight Z sum, reversed encoding."""
-    coeffs = closed_overlaps(probe, n, theta, 0)[0][popcounts(n)]
+    half-weight Z sum, reversed encoding; one state per angle of an array."""
+    coeffs = closed_overlaps(probe, n, theta, 0)[0][..., popcounts(n)]
     return LuiState(QuditLayout(n, 2, 1), coeffs, RE, theta)
 
 
@@ -236,6 +238,8 @@ def _lui_matrix(lui: LuiState) -> np.ndarray:
     """Dense two-copy matrix of the invariant state, without state validation:
     sum_m w_m S_m / (d^2 - 1)^N, real and symmetric.  Each swap S_m is a
     permutation, so its weight is scattered onto its dim entries."""
+    if lui.coeffs.ndim != 1:
+        raise ValueError("dense assembly takes a single state")
     lay2 = lui.layout.two_copy()
     n, d, dim = lay2.n_sites, lay2.local_dim, lay2.dim
     weights = subset_transform(lui.coeffs, [[1.0, -1.0 / d], [-1.0 / d, 1.0]])

@@ -79,7 +79,8 @@ def _restrict(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     if not r:
         return basis
     cols = (w @ basis @ w.conj().T - basis).reshape(r, -1).T
-    _, svals, vh = np.linalg.svd(cols, full_matrices=False)
+    # cols = QR, Q orthonormal: R has the singular values and vh of cols
+    _, svals, vh = np.linalg.svd(np.linalg.qr(cols, mode="r"))
     # columns of unit-norm operators under unitary conjugation have scale <= 2,
     # so anchor the rank cutoff at 1 to survive the all-commuting case
     cutoff = NULLSPACE_RTOL * max(svals[0], 1.0)

@@ -17,6 +17,7 @@ from framefree.measure import (
     LBM,
     LST,
     OutcomeDistribution,
+    _golden_max,
     cfi,
     cfi_dm,
     cfi_dm_from_overlap,
@@ -37,6 +38,7 @@ from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, prod
 from framefree.tensor import QuditLayout, hamming, popcounts
 from framefree.twirl import (
     closed_gap,
+    closed_lui,
     closed_overlaps,
     ghz_lui,
     global_overlap_series,
@@ -55,6 +57,37 @@ def ghz_pair(n, theta):
 
 def ghz_overlap(n, theta):
     return math.cos(n * theta) ** 2, -n * math.sin(2 * n * theta)
+
+
+def stacked(model):
+    """Elementwise form of a per-angle outcome model: the per-angle
+    distributions stacked over an array of angles."""
+    def batched(theta):
+        t = np.asarray(theta, dtype=float)
+        dists = [model(float(x)) for x in t.ravel()]
+        probs = np.stack([dist.probs for dist in dists]).reshape(t.shape + (-1,))
+        return OutcomeDistribution(dists[0].labels, probs, t, dists[0].strategy,
+                                   dists[0].multiplicity)
+    return batched
+
+
+def scalar_golden_max(f, lo, hi, tol=1e-7):
+    """Reference: the one-angle-at-a-time golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def model_information(model, theta, h=1e-5):
@@ -425,6 +458,7 @@ class TestMle:
         true = 0.31
         counts = model(true).probs * 1_000_000
         est, flagged = mle_estimate(counts, model, (0.05, 0.6))
+        assert np.ndim(est) == 0 and np.ndim(flagged) == 0 and isinstance(est, float)
         assert not flagged
         assert abs(est - true) < 1e-6
 
@@ -433,6 +467,33 @@ class TestMle:
         counts = model(0.75).probs * 10_000
         est, flagged = mle_estimate(counts, model, (0.05, 0.3))
         assert flagged
+
+    @pytest.mark.parametrize("reps, readout, probe, n", [
+        (1, probs_gst, "product", 3), (9, probs_dm, "ghz", 2), (9, probs_lst, "product", 4),
+        (200, probs_lbm, "ghz", 3)])
+    def test_lockstep_matches_scalar_search(self, reps, readout, probe, n):
+        model = lambda t: readout(closed_lui(probe, n, t))
+        dist = model(0.3)
+        counts = np.stack([sample_outcomes(dist, 5_000, np.random.default_rng([17, r]))
+                           for r in range(reps)])
+        window = default_window(0.3)
+
+        def loglik(row):
+            # the per-angle log-likelihood: a plain dot product with the counts
+            return lambda t: float(row @ np.log(np.clip(model(t).probs, 1e-300, None)))
+
+        want = np.array([scalar_golden_max(loglik(row), *window) for row in counts])
+        est, flagged = mle_estimate(counts, model, window)
+        assert est.shape == flagged.shape == (reps,)
+        assert np.array_equal(est, want)
+        assert np.array_equal(flagged, (want - window[0] < 1e-6) | (window[1] - want < 1e-6))
+
+    def test_lockstep_elements_stop_on_their_own(self):
+        # intervals of different widths need different step counts
+        lo, hi = np.array([0.0, 0.0, 2.0]), np.array([1.0, 1e-3, 5.0])
+        f = lambda t: -(t - 0.3) ** 2
+        want = [scalar_golden_max(f, a, b) for a, b in zip(lo, hi)]
+        assert np.array_equal(_golden_max(f, lo, hi), want)
 
     def test_window_default_clamped(self):
         lo, hi = default_window(0.05)
@@ -449,7 +510,7 @@ class TestEstimationExperiment:
         assert run.boundary_hits == 0
 
     def test_deterministic(self):
-        model = lambda t: probs_gst(lui_coefficients(ghz_pair(2, t)))
+        model = stacked(lambda t: probs_gst(lui_coefficients(ghz_pair(2, t))))
         information = cfi_gst(ghz_pair(2, 0.1))
         a = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
         b = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
@@ -459,6 +520,24 @@ class TestEstimationExperiment:
         model = lambda t: probs_lbm(ghz_lui(2, t))
         with pytest.raises(ValueError, match="repetitions"):
             estimation_experiment(model, 0.1, 8.0, 100, 1, seed=6)
+
+    def test_blocks_match_per_repetition_estimates(self):
+        # 2^17 classes hold 8 repetitions per 2^20-count block: 10 take two
+        k = 1 << 17
+        sign = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+        labels = tuple(range(k))
+
+        def model(t):
+            t = np.asarray(t, dtype=float)
+            probs = (1.0 + np.cos(t)[..., None] * sign) / k
+            return OutcomeDistribution(labels, probs, t, "toy")
+
+        run = estimation_experiment(model, 0.6, 1.0, 20_000, 10, seed=3)
+        counts = [sample_outcomes(model(0.6), 20_000, np.random.default_rng([3, r]))
+                  for r in range(10)]
+        est = np.array([mle_estimate(c, model, default_window(0.6))[0] for c in counts])
+        assert run.estimate == float(est.mean()) and run.variance == float(est.var(ddof=1))
+        assert np.array_equal(run.outcomes, np.sum(counts, axis=0))
 
     @pytest.mark.parametrize("information", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_information_not_finite_and_positive(self, information):
@@ -472,3 +551,43 @@ def test_distribution_validation():
         OutcomeDistribution(("a", "b"), np.array([1.1, -0.1]), 0.0, "dm")
     with pytest.raises(ValueError, match="sum"):
         OutcomeDistribution(("a", "b"), np.array([0.7, 0.7]), 0.0, "dm")
+    with pytest.raises(ValueError, match="undefined"):
+        OutcomeDistribution(("a", "b"), np.array([np.nan, 1.0]), 0.1, "gst")
+    # rows are checked on their own
+    with pytest.raises(ValueError, match="sum"):
+        OutcomeDistribution(("a", "b"), np.array([[0.5, 0.5], [0.7, 0.7]]), np.zeros(2), "dm")
+    with pytest.raises(ValueError, match="undefined"):
+        OutcomeDistribution(("a", "b"), np.array([[0.5, 0.5], [np.nan, 1.0]]), np.zeros(2), "dm")
+
+
+def test_nan_coefficient_rejected_by_readouts():
+    # a coefficient corrupted after the state was validated
+    lui = ghz_lui(2, 0.3)
+    lui.coeffs[1] = np.nan
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        probs_lbm(lui)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        probs_lst(lui)
+    with pytest.raises(ValueError, match="undefined"):
+        probs_dm(lui)
+    lui.coeffs[-1] = np.nan
+    with pytest.raises(ValueError, match="undefined"):
+        probs_gst(lui)
+
+
+@pytest.mark.parametrize("probe, n", [("ghz", 3), ("product", 4)])
+def test_angle_arrays_match_per_angle_objects(probe, n):
+    thetas = np.array([[0.0, 0.21, math.pi / (2 * n)], [0.7, 1.1, math.pi / 2]])
+    batched = closed_lui(probe, n, thetas)
+    assert batched.coeffs.shape == thetas.shape + (1 << n,)
+    for readout in (None, probs_dm, probs_lst, probs_lbm, probs_gst):
+        rows = batched if readout is None else readout(batched)
+        for i in np.ndindex(thetas.shape):
+            one = closed_lui(probe, n, float(thetas[i]))
+            if readout is None:
+                assert np.array_equal(rows.coeffs[i], one.coeffs)
+                continue
+            one = readout(one)
+            assert np.array_equal(rows.probs[i], one.probs)
+            assert rows.labels is one.labels
+            assert rows.theta[i] == one.theta

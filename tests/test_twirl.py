@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framefree.fisher import lui_spectrum
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
     WALSH_KERNEL,
@@ -35,6 +36,7 @@ from framefree.twirl import (
     product_lui,
     swap_overlaps,
 )
+from framefree.verify import lui_state_checks
 
 from conftest import random_hermitian, random_state
 
@@ -441,3 +443,14 @@ class TestGTwirlApply:
 def test_lui_state_shape_checks():
     with pytest.raises(ValueError, match="coefficients"):
         LuiState(QuditLayout(2, 2, 1), np.ones(3), RE, 0.1)
+    with pytest.raises(ValueError, match="per angle"):
+        LuiState(QuditLayout(2, 2, 1), np.ones((3, 4)), RE, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        LuiState(QuditLayout(2, 2, 1), np.array([1.0, np.nan, 0.5, 0.5]), RE, 0.1)
+
+
+def test_dense_consumers_take_a_single_state():
+    batched = ghz_lui(2, np.array([0.1, 0.4]))
+    for consumer in (lui_density, lui_spectrum, lui_state_checks):
+        with pytest.raises(ValueError, match="single state"):
+            consumer(batched)
