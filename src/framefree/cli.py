@@ -26,7 +26,7 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_SCAN_SITES = 64  # the range the closed-form scan columns are tested on
 SCAN_STRATEGIES = ("qfi_re", "qfi_ie", "qfi_gui", "f0",
                    "cfi_dm", "cfi_grm", "cfi_gst", "cfi_lst", "cfi_lbm")
-ESTIMATE_READOUTS = {"lbm": measure.probs_lbm, "dm": measure.probs_dm, "gst": measure.probs_gst}
+ESTIMATE_READOUTS = ("lbm", "dm", "gst")  # run_estimate calls measure.probs_<name>
 
 
 # -- closed-form scan columns
@@ -244,9 +244,10 @@ def run_estimate(cfg: dict) -> dict:
     if reps < 2:
         raise ValueError("reps must be at least 2")
     true_theta = float(cfg["true_theta"])
-    if strategy not in tuple(ESTIMATE_READOUTS):  # a tuple also turns away unhashable values
-        raise ValueError(f"estimate strategy must be one of {tuple(ESTIMATE_READOUTS)}")
-    readout = ESTIMATE_READOUTS[strategy]
+    if strategy not in ESTIMATE_READOUTS:  # a tuple also turns away unhashable values
+        raise ValueError(f"estimate strategy must be one of {ESTIMATE_READOUTS}")
+    # looked up per call, so a wrapper installed on the module is the one called
+    readout = getattr(measure, f"probs_{strategy}")
 
     def model(t: np.ndarray) -> measure.OutcomeDistribution:
         return readout(twirl.closed_lui(probe, n, t))
@@ -322,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="sample-and-estimate against the CRB")
     est.add_argument("--probe", choices=PROBES)
     est.add_argument("--sites", type=int)
-    est.add_argument("--strategies", dest="strategy", choices=tuple(ESTIMATE_READOUTS))
+    est.add_argument("--strategies", dest="strategy", choices=ESTIMATE_READOUTS)
     est.add_argument("--true-theta", type=float, dest="true_theta")
     est.add_argument("--shots", type=int)
     est.add_argument("--reps", type=int)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over multi-qudit registers.
+"""Dense real and complex linear algebra over multi-qudit registers.
 
 Index convention
 ----------------
@@ -143,17 +143,22 @@ class StateVector:
 
 @dataclass(eq=False)
 class DensityOperator:
-    """Dense Hermitian, unit-trace, positive-semidefinite operator."""
+    """Dense Hermitian, unit-trace, positive-semidefinite operator.
+
+    The input's dtype decides the arithmetic: ``matrix`` is float64 for real
+    input, checked in real arithmetic, and complex128 otherwise."""
 
     layout: QuditLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        mat = mat.astype(float if np.isrealobj(mat) else complex, copy=False)
         dim = self.layout.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        # every test is written so that a NaN entry fails it
+        # every test is written so that a NaN entry fails it; conj() of a
+        # real matrix is the matrix itself, not a copy
         herm_err = np.max(np.abs(mat - mat.conj().T))
         if not herm_err <= HERMITIAN_ATOL * max(1.0, np.max(np.abs(mat))):
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_err})")
@@ -245,12 +250,13 @@ def swap_permutation(site_mask: int, layout: QuditLayout) -> np.ndarray:
 
 
 def swap_operator(site_mask: int, layout: QuditLayout) -> np.ndarray:
-    """Permutation matrix exchanging copy A and copy B on the selected sites.
+    """Real permutation matrix exchanging copy A and copy B on the selected
+    sites.
 
-    The result is an involution (S @ S = identity) and Hermitian.
+    The result is an involution (S @ S = identity) and symmetric.
     """
     perm = swap_permutation(site_mask, layout)
-    op = np.zeros((layout.dim, layout.dim), dtype=complex)
+    op = np.zeros((layout.dim, layout.dim))
     op[perm, np.arange(layout.dim)] = 1.0
     return op
 
@@ -282,7 +288,15 @@ def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
 
 
 def hermitian_eig(op, atol: float = 1e-10):
-    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix."""
+    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix.
+
+    `eigh` reads one triangle only, so the check guards against a matrix
+    that is not Hermitian at all.  Its default atol is 1e-10, not the
+    HERMITIAN_ATOL = 1e-12 that `DensityOperator` holds stored states to:
+    inputs here may come straight out of arithmetic (products of unitaries
+    and generators), whose asymmetry grows with the dimension, so it takes
+    the slack of the other post-arithmetic checks (TRACE_ATOL, PSD_ATOL,
+    UNITARY_ATOL)."""
     mat = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
     herm_err = np.max(np.abs(mat - mat.conj().T))
     if not herm_err <= atol * max(1.0, np.max(np.abs(mat))):  # NaN fails

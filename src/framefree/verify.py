@@ -25,8 +25,17 @@ from .fisher import lui_spectrum
 PER_SITE = "one_local_per_site_collective"
 GLOBAL = "unrestricted_symmetric"
 
+# tolerances: relative rank cut of the nullspace SVD; eigenvalue gap that
+# separates clusters of W + W^dag; norm of the commutant basis's traces below
+# which no basis element carries a trace
 NULLSPACE_RTOL = 1e-9
 CLUSTER_TOL = 1e-7
+COMMUTANT_TRACE_TOL = 1e-8
+# validity of an invariant state: absolute slack on c_0 = 1, the [0, 1]
+# coefficient range, unit trace and the lowest eigenvalue; and on each
+# eigenvalue against the spectrum predicted from the coefficients
+LUI_CHECK_ATOL = 1e-10
+LUI_SPECTRUM_ATOL = 1e-9
 COMMUTANT_DIM_LIMIT = 256
 
 
@@ -130,7 +139,7 @@ def commutant_dimension(query: CommutantQuery, rng: np.random.Generator) -> Comm
     stable = len(basis) == dim
     dim = len(basis)
     traces = np.trace(basis, axis1=1, axis2=2)
-    has_trace = bool(np.linalg.norm(traces) > 1e-8)
+    has_trace = bool(np.linalg.norm(traces) > COMMUTANT_TRACE_TOL)
     return CommutantResult(dim, dim - int(has_trace), stable)
 
 
@@ -173,12 +182,14 @@ def lui_state_checks(lui: LuiState) -> dict:
     entries = sorted(lui_spectrum(lui), key=lambda e: e.eigenvalue)
     predicted = np.sort(np.repeat([e.eigenvalue for e in entries],
                                   [e.degeneracy for e in entries]))
+    tol = LUI_CHECK_ATOL
     return {
-        "c0_is_one": bool(abs(coeffs[0] - 1.0) <= 1e-10),
-        "coeffs_in_range": bool(coeffs.min() >= -1e-10 and coeffs.max() <= 1.0 + 1e-10),
-        "unit_trace": bool(abs(mat.trace().real - 1.0) <= 1e-10),
-        "positive": bool(eigvals[0] >= -1e-10),
-        "spectrum_consistent": bool(np.max(np.abs(np.sort(eigvals) - predicted)) <= 1e-9),
+        "c0_is_one": bool(abs(coeffs[0] - 1.0) <= tol),
+        "coeffs_in_range": bool(coeffs.min() >= -tol and coeffs.max() <= 1.0 + tol),
+        "unit_trace": bool(abs(mat.trace().real - 1.0) <= tol),
+        "positive": bool(eigvals[0] >= -tol),
+        "spectrum_consistent": bool(np.max(np.abs(np.sort(eigvals) - predicted))
+                                    <= LUI_SPECTRUM_ATOL),
     }
 
 

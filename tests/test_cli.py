@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_verify
+from framefree import measure
+from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_estimate, run_verify
 from framefree.fisher import qfi_ghz_closed, qfi_gui_ghz_closed, qfi_product_closed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -309,6 +310,17 @@ class TestEstimate:
         assert main(["estimate", "--strategies", "dm", "--true-theta", "0",
                      "--shots", "10", "--reps", "2"]) == 2
         assert "not finite and positive" in capsys.readouterr().err
+
+    def test_readout_looked_up_per_call(self, monkeypatch):
+        # a wrapper installed on the measure module (a tracer, say) is the one called
+        cfg = {"probe": "ghz", "sites": 3, "strategy": "lbm", "true_theta": 0.4,
+               "shots": 1000, "reps": 4, "seed": 5}
+        plain = run_estimate(cfg)
+        calls = []
+        probs_lbm = measure.probs_lbm
+        monkeypatch.setattr(measure, "probs_lbm", lambda lui: calls.append(1) or probs_lbm(lui))
+        assert run_estimate(cfg) == plain
+        assert calls
 
     def test_lbm_short_run_reasonable(self, tmp_path):
         out = tmp_path / "lbm.json"

@@ -92,6 +92,31 @@ class TestStateAndDensity:
             with pytest.raises(ValueError, match=r"negative eigenvalue -1\.(1|09)"):
                 DensityOperator(lay, mat)
 
+    def test_real_input_checked_in_real_arithmetic(self, monkeypatch):
+        # the input's dtype decides: real stays float64, complex stays complex128
+        lay = QuditLayout(2, 2, 1)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        good = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ q.T
+        good = (good + good.T) / 2
+        assert DensityOperator(lay, good).matrix.dtype == np.float64
+        cast = DensityOperator(lay, good.astype(complex)).matrix
+        assert cast.dtype == np.complex128
+        assert np.array_equal(cast, good)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(lay, good + np.triu(np.full((4, 4), 1e-6), 1))
+        nan = good.copy()
+        nan[1, 2] = nan[2, 1] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(lay, nan)
+        # eigenvalue -1e-9: no Cholesky factor, so the real spectrum decides
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+        low = q @ np.diag([0.5, 0.3, 0.2 + 1e-9, -1e-9]) @ q.T
+        with pytest.raises(ValueError, match=r"matrix has negative eigenvalue -(1\.0|9\.99)"):
+            DensityOperator(lay, (low + low.T) / 2)
+        assert seen == [np.float64]
+
     def test_rank_one_state_accepted(self, rng):
         psi = random_state(6, rng, 3)
         DensityOperator(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
@@ -185,8 +210,9 @@ class TestSwapOperator:
         lay = QuditLayout(3, 2, 2)
         for mask in (0b001, 0b101, 0b111):
             s = swap_operator(mask, lay)
-            assert np.array_equal(s @ s, np.eye(lay.dim, dtype=complex))
-            assert np.array_equal(s, s.conj().T)
+            assert s.dtype == np.float64
+            assert np.array_equal(s @ s, np.eye(lay.dim))
+            assert np.array_equal(s, s.T)
 
     def test_requires_two_copies(self):
         with pytest.raises(ValueError, match="two-copy"):

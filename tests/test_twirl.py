@@ -286,6 +286,15 @@ class TestLuiDensity:
             dense = lui_density(lui_coefficients(z_sum_pair(psi, 0.9))).matrix
             assert np.isclose(dense.trace().real, 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("probe, n", [("ghz", 3), ("product", 4)])
+    def test_density_stays_real(self, probe, n):
+        lui = ghz_lui(n, 0.3) if probe == "ghz" else product_lui(n, 0.3)
+        dense = lui_density(lui).matrix
+        assert dense.dtype == np.float64
+        # the complex route casts the same matrix and checks it as complex
+        via_complex = DensityOperator(lui.layout.two_copy(), _lui_matrix(lui).astype(complex))
+        assert np.array_equal(dense, via_complex.matrix)
+
     @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2),
                                       (1, 3), (2, 3), (3, 3)])
     def test_scatter_matches_swap_operator_sum(self, rng, n, d):
@@ -329,6 +338,7 @@ class TestGui:
         state = gui_state(pair)
         dense = gui_density(state)
         lay2 = pair.layout.two_copy()
+        assert dense.matrix.dtype == np.float64
         got = trace_product(swap_operator(0b11, lay2), dense.matrix).real
         assert np.isclose(got, state.s_global, atol=1e-10)
 

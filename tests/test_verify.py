@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
-from framefree.tensor import QuditLayout, StateVector
-from framefree.twirl import LuiState, gui_density, gui_state, lui_coefficients
+from framefree import verify
+from framefree.tensor import DensityOperator, QuditLayout, StateVector
+from framefree.twirl import LuiState, gui_density, gui_state, lui_coefficients, lui_density
 from framefree.verify import (
     GLOBAL,
     CommutantQuery,
@@ -130,6 +131,37 @@ class TestInvarianceSuite:
         dense = lui_density(lui)
         out = g_twirl_apply(dense, [np.eye(2)])
         assert trace_distance(out, dense) == 0.0
+
+
+class TestRealInput:
+    """Real twirled states give the distances of their complex casts, bit for bit."""
+
+    @staticmethod
+    def as_complex(rho):
+        return DensityOperator(rho.layout, rho.matrix.astype(complex))
+
+    def test_rotation_distance(self):
+        dense = lui_density(lui_coefficients(ghz_pair(3, 0.3)))
+        assert dense.matrix.dtype == np.float64
+        for identical in (False, True):
+            got = [rotation_distance(rho, 5, np.random.default_rng(41), identical)
+                   for rho in (dense, self.as_complex(dense))]
+            assert got[0] == got[1]
+
+    def test_invariance_suite_and_mc_convergence(self, monkeypatch):
+        lui = lui_coefficients(ghz_pair(2, 0.3))
+        pair = ghz_pair(2, 0.3)
+        real = (invariance_suite(lui, 5, 43), mc_convergence(pair, (100, 400), 47))
+        monkeypatch.setattr(verify, "lui_density", lambda s: self.as_complex(lui_density(s)))
+        cast = (invariance_suite(lui, 5, 43), mc_convergence(pair, (100, 400), 47))
+        assert real == cast
+
+    def test_trace_distance_of_real_operands(self):
+        a = lui_density(lui_coefficients(ghz_pair(2, 0.3)))
+        b = lui_density(lui_coefficients(ghz_pair(2, 0.9)))
+        # both real: a real eigensolve, equal to the complex one to rounding
+        assert np.isclose(trace_distance(a, b), trace_distance(a, self.as_complex(b)),
+                          rtol=0, atol=1e-14)
 
 
 class TestValidityChecks:
