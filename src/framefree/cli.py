@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fisher, measure, twirl, verify
 from .states import HamiltonianSpec, IE, RE, ghz_state, make_pair, product_plus_state
-from .tensor import QuditLayout, StateVector, popcounts, swap_operator, trace_product
+from .tensor import QuditLayout, StateVector, swap_operator, trace_product
 from .twirl import PROBES
 
 DEFAULT_SEED = 0xC0FFEE
@@ -32,10 +32,23 @@ ESTIMATE_READOUTS = ("lbm", "dm", "gst")  # run_estimate calls measure.probs_<na
 # -- closed-form scan columns
 
 
+# the global twirl's information is that of the global swap test
+_READOUT_COLUMNS = {"qfi_gui": "gst", "cfi_gst": "gst", "cfi_dm": "dm", "cfi_lst": "lst",
+                    "cfi_lbm": "lbm"}
+
+
+def _closed_cfi(readout: str, probe: str, n: int, theta):
+    """Information of a readout of a closed probe, elementwise over angles: the
+    global swap test from s and its stable 1 - s, the others by weight class."""
+    if readout == "gst":
+        s, ds, dds = twirl.closed_overlaps(probe, n, theta)[..., n]
+        return measure.cfi_gst_from_overlap(s, twirl.closed_gap(probe, n, theta), ds, dds)
+    kernel = measure.readout_kernel(readout, 2)
+    return fisher.fisher_from_weight_classes(twirl.closed_families(probe, n, theta, kernel))
+
+
 def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
-    """Each requested column over the whole theta grid, from one evaluation
-    of the closed-form overlaps."""
-    s, ds, dds = twirl.closed_overlaps(probe, n, grid)[..., n]
+    """Each requested column over the whole theta grid."""
     # for a pure probe s''(0) = -8 Var H = -f0
     f0 = -twirl.closed_overlaps(probe, n, 0.0)[2, n]
     columns = {}
@@ -48,18 +61,11 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
             columns[strategy] = np.zeros_like(grid)
         elif strategy == "f0":
             columns[strategy] = np.full_like(grid, f0)
-        elif strategy in ("qfi_gui", "cfi_gst"):
-            gap = twirl.closed_gap(probe, n, grid)  # 1 - s without cancellation
-            columns[strategy] = measure.cfi_gst_from_overlap(s, gap, ds, dds)
-        elif strategy == "cfi_dm":
-            columns[strategy] = measure.cfi_dm_from_overlap(s, ds, n)
         elif strategy == "cfi_grm":
+            s, ds = twirl.closed_overlaps(probe, n, grid, 1)[..., n]
             columns[strategy] = measure.cfi_grm_from_overlap(s, ds, n)
-        elif strategy in ("cfi_lst", "cfi_lbm"):
-            # the Bell readout splits each swap-test class into equal-probability
-            # patterns, which leaves the information sum unchanged
-            families = twirl.closed_families(probe, n, grid)
-            columns[strategy] = fisher.fisher_from_weight_classes(families)
+        elif strategy in _READOUT_COLUMNS:
+            columns[strategy] = _closed_cfi(_READOUT_COLUMNS[strategy], probe, n, grid)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
     return columns
@@ -252,13 +258,7 @@ def run_estimate(cfg: dict) -> dict:
     def model(t: np.ndarray) -> measure.OutcomeDistribution:
         return readout(twirl.closed_lui(probe, n, t))
 
-    rows = twirl.closed_overlaps(probe, n, true_theta)
-    if strategy == "gst":
-        s, ds, dds = rows[:, n]
-        gap = twirl.closed_gap(probe, n, true_theta)  # 1 - s without cancellation
-        information = measure.cfi_gst_from_overlap(s, gap, ds, dds)
-    else:
-        information = measure.cfi(strategy, rows[:, popcounts(n)], local_dim=2)
+    information = float(_closed_cfi(strategy, probe, n, true_theta))
     run = measure.estimation_experiment(model, true_theta, information, shots, reps,
                                         int(cfg["seed"]))
     return {

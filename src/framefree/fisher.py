@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import IE, RE, EncodedPair
-from .tensor import WALSH_KERNEL, popcounts, subset_transform
+from .tensor import SWAP_TEST_KERNEL, popcounts, subset_transform
 from .twirl import LuiState, swap_overlaps
 
 SUM_ROUNDING = 8.0  # rounding scale of a class sum, in eps times the size of its terms
-# class probabilities of the local swap test: p = W c / 2^N
-SWAP_TEST_KERNEL = WALSH_KERNEL / 2.0
 _MODE_NAMES = {RE: "reversed", IE: "identical"}
 
 
@@ -86,25 +84,29 @@ def information_sum(den, num, sec, mult, r):
     return np.where(at_limit, limit, ratio) @ mult / size
 
 
-def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs, kernel=SWAP_TEST_KERNEL) -> float:
+def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs, kernel=SWAP_TEST_KERNEL,
+                             mult=None) -> float:
     """Information sum (dp)^2 / p over the classes p = K c of a readout with
-    Kronecker kernel K, from the overlaps c and their exact c' and c''; the
+    Kronecker kernel K, from the overlaps c and their exact c' and c''; class
+    b holds mult[b] outcomes of probability p_b (one each by default).  The
     default kernel is the swap test's, whose information is that of the
     invariant state.  r_b = SUM_ROUNDING * eps * (|K| |c|)_b."""
     c = np.asarray(coeffs, dtype=float)
-    size = c.size
+    ones = np.ones_like(c)
+    mult = ones if mult is None else np.asarray(mult, dtype=float)
     # centred on c_0 = 1 so the sums near a zero carry no O(1) cancellation
-    p, dp, ddp, ones = subset_transform([c - c[0], dcoeffs, second_dcoeffs, np.ones(size)], kernel)
-    p += c[0] * ones
+    p, dp, ddp, k_ones = subset_transform([c - c[0], dcoeffs, second_dcoeffs, ones], kernel)
+    p += c[0] * k_ones
     r = SUM_ROUNDING * np.finfo(float).eps * subset_transform(np.abs(c), np.abs(kernel))
-    # one outcome per class, S = 2^N: den = 2^N p
-    return float(information_sum(size * p, size * dp, size * ddp, np.ones(size), size * r))
+    # den = S p, S = sum(mult) outcomes in all
+    size = mult.sum()
+    return float(information_sum(size * p, size * dp, size * ddp, mult, size * r))
 
 
 def fisher_from_weight_classes(families) -> np.ndarray:
     """Information from `twirl.closed_families` (mask weight w, multiplicity
-    C(N, w)), elementwise over the leading axes.  Each den_w is a product of
-    positive factors: r_w = SUM_ROUNDING * eps * den_w, only exact zeros."""
+    C(N, w)), elementwise over the leading axes.  Each den_w is a sum of
+    non-negative terms: r_w = SUM_ROUNDING * eps * den_w, only exact zeros."""
     den, num, sec = families
     n = den.shape[-1] - 1
     mult = np.array([math.comb(n, w) for w in range(n + 1)], dtype=float)
@@ -115,14 +117,11 @@ def qfi_from_spectrum(series, local_dim: int) -> float:
     """Degeneracy-weighted sum of (d lambda)^2 / lambda over the eigenvalue
     families of the invariant state, with lambda, d lambda and d^2 lambda
     the eigenvalue kernel applied to the exact overlap rows c, c', c''
-    (shape (3, 2^N)) of a register of local dimension `local_dim`;
-    r_b = SUM_ROUNDING * eps * (|K| |c|)_b."""
+    (shape (3, 2^N)) of a register of local dimension `local_dim`; each
+    eigenvector is one outcome."""
     c = np.asarray(series, dtype=float)
     kernel, deg = _spectrum(c.shape[-1].bit_length() - 1, local_dim)
-    # each eigenvector is one outcome: den = dim * lambda, dim = sum(deg)
-    dim = float(deg.sum())
-    r = SUM_ROUNDING * np.finfo(float).eps * subset_transform(np.abs(c[0]), np.abs(kernel))
-    return float(information_sum(*(dim * subset_transform(c, kernel)), deg, dim * r))
+    return fisher_from_coefficients(*c, kernel=kernel, mult=deg)
 
 
 def _qfi_general(pair_fn, theta: float, mode: str) -> FisherResult:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import SUM_ROUNDING, SWAP_TEST_KERNEL, fisher_from_coefficients, information_sum
+from .fisher import SUM_ROUNDING, fisher_from_coefficients, information_sum
 from .states import EncodedPair
-from .tensor import popcounts, subset_transform
+from .tensor import SWAP_TEST_KERNEL, popcounts, subset_transform
 from .twirl import LuiState, global_overlap_series
 
 PROB_ATOL = -1e-12
@@ -63,23 +63,27 @@ class EstimationRun:
     repetitions: int = 1
 
 
+def readout_kernel(readout: str, local_dim: int) -> np.ndarray:
+    """Kronecker kernel K of the dm, lst or lbm readout: class probabilities K c."""
+    if readout == DM:
+        return np.array([[local_dim, -1.0], [1.0, 1.0]]) / (local_dim + 1.0)
+    # the Bell readout splits each swap-test class into equal-probability patterns
+    if readout in (LST, LBM):
+        return SWAP_TEST_KERNEL
+    raise ValueError(f"unknown readout {readout!r}")
+
+
 def cfi(readout: str, series, local_dim: int) -> float:
     """Classical information of the dm, lst or lbm readout of the locally
     twirled state from its overlap rows c, c', c'' (shape (3, 2^N), exact
     derivatives) on sites of dimension `local_dim`: the readout's kernel on
     each row, through the one information sum.  The global swap test reads
     the full-mask overlap alone: `cfi_gst_from_overlap`."""
-    if readout not in (DM, LST, LBM):
-        raise ValueError(f"unknown readout {readout!r}")
-    kernel = _dm_kernel(local_dim) if readout == DM else SWAP_TEST_KERNEL
-    return fisher_from_coefficients(*np.asarray(series, dtype=float), kernel=kernel)
+    return fisher_from_coefficients(*np.asarray(series, dtype=float),
+                                    kernel=readout_kernel(readout, local_dim))
 
 
 # -- computational-basis readout (per-site coincidence classes)
-
-
-def _dm_kernel(d: int) -> np.ndarray:
-    return np.array([[d / (d + 1.0), -1.0 / (d + 1.0)], [1.0 / (d + 1.0), 1.0 / (d + 1.0)]])
 
 
 @functools.cache
@@ -91,31 +95,10 @@ def probs_dm(lui: LuiState) -> OutcomeDistribution:
     """Both-copy computational-basis readout after the local twirl, grouped
     by the mask of sites whose two copies coincide."""
     n, d = lui.n_sites, lui.layout.local_dim
-    probs = subset_transform(lui.coeffs, _dm_kernel(d))
+    probs = subset_transform(lui.coeffs, readout_kernel(DM, d))
     mult = d**n * (d - 1) ** (n - popcounts(n))
     return OutcomeDistribution(_mask_labels("coincide", n), probs, lui.theta, DM,
                                multiplicity=mult)
-
-
-def cfi_dm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
-    """Closed form driven by the full-state overlap s and its derivative:
-    the information of `probs_dm` with every intermediate overlap c_a
-    (0 < |a| < N) set to 0.  That is the direct readout of neither the GHZ
-    nor the product probe's twirled state, whose intermediate overlaps are
-    1/2 and cos^(2|a|) theta (fault 1, ROADMAP item 1).  It stays until the
-    targets that rest on it (test_c06, TestDmReadout and the 0.990 peak in
-    test_cli) are re-targeted.  Elementwise over arrays of angles."""
-    d = local_dim
-    total = sum(
-        math.comb(n_sites, k) * ds * ds / (d**k + (-1.0) ** k * s)
-        for k in range(n_sites + 1)
-    )
-    return total / (d + 1.0) ** n_sites
-
-
-def cfi_dm(pair: EncodedPair) -> float:
-    s, ds = global_overlap_series(pair)[:2]
-    return cfi_dm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
 
 
 # -- globally randomized computational-basis readout

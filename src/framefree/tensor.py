@@ -61,6 +61,8 @@ def popcounts(n_bits: int) -> np.ndarray:
 
 
 WALSH_KERNEL = np.array([[1.0, 1.0], [1.0, -1.0]])
+# class probabilities of the local swap test: p = W c / 2^N
+SWAP_TEST_KERNEL = WALSH_KERNEL / 2.0
 
 
 def subset_transform(values, kernel) -> np.ndarray:

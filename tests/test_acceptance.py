@@ -24,7 +24,6 @@ from framefree.measure import (
     DM,
     LBM,
     cfi,
-    cfi_dm_from_overlap,
     cfi_grm_from_overlap,
     estimation_experiment,
     probs_dm,
@@ -160,14 +159,22 @@ def test_c05_swap_readouts_saturate():
             worst <= 1e-9, t0, 10.0, f"max rel err {worst:.1e}")
 
 
+def _dm_peak(n: int, grid: np.ndarray) -> tuple:
+    """Peak of the GHZ direct-readout column over the grid (weight route),
+    and the mask route's value at the same angle."""
+    column = _scan_columns("ghz", n, grid, ("cfi_dm",))["cfi_dm"]
+    at = grid[np.argmax(column)]
+    return column.max(), cfi(DM, closed_overlaps("ghz", n, at)[:, popcounts(n)], 2)
+
+
 def test_c06_direct_readout_inefficiency():
     t0 = time.time()
     grid = np.linspace(1e-4, math.pi / 2, 4001)
-    peak = max(cfi_dm_from_overlap(math.cos(2 * t) ** 2, -2 * math.sin(4 * t), 2)
-               for t in grid)
-    ok = abs(peak - 0.990) <= 0.005 and abs(peak / 8.0 - 0.124) <= 0.005
-    _report(6, "direct-basis readout peaks at 0.990 (12.4% of the ceiling)",
-            ok, t0, 5.0, f"peak {peak:.4f} = {peak / 8 * 100:.1f}%")
+    peak, mask = _dm_peak(2, grid)
+    ok = (abs(peak - 0.8005) <= 0.005 and abs(peak / 8.0 - 0.100) <= 0.005
+          and abs(peak - mask) <= 1e-13 * 8.0)
+    _report(6, "direct-basis readout peaks at 0.8005 (10.0% of the ceiling)",
+            ok, t0, 5.0, f"peak {peak:.4f} = {peak / 8 * 100:.1f}%, mask route {mask:.4f}")
 
 
 def test_c07_global_randomized_inefficiency():
@@ -183,13 +190,12 @@ def test_c08_exponential_information_loss():
     t0 = time.time()
     n = 10
     grid = np.linspace(1e-3, math.pi / 2, 20001)
-    dm = max(cfi_dm_from_overlap(math.cos(n * t) ** 2, -n * math.sin(2 * n * t), n)
-             for t in grid)
+    dm, dm_mask = _dm_peak(n, grid)
     grm = max(cfi_grm_from_overlap(math.cos(n * t) ** 2, -n * math.sin(2 * n * t), n)
               for t in grid)
-    dm_target = n * n / 2.0**n
+    dm_target = 0.0384  # 0.019% of 2N^2
     grm_target = (12.0 - 8.0 * math.sqrt(2.0)) * n * n / 2.0**n
-    ok = (abs(dm - dm_target) / dm_target <= 0.15
+    ok = (abs(dm - dm_target) / dm_target <= 0.15 and abs(dm - dm_mask) <= 1e-13 * 2 * n * n
           and abs(grm - grm_target) / grm_target <= 0.15)
     _report(8, "randomized readouts lose information exponentially at N=10",
             ok, t0, 5.0, f"dm {dm:.4f} vs {dm_target:.4f}; grm {grm:.4f} vs {grm_target:.4f}")

@@ -18,6 +18,7 @@ from framefree.fisher import (
     qfi_product_closed,
     qfi_re_general,
 )
+from framefree.measure import DM, cfi, readout_kernel
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
     WALSH_KERNEL,
@@ -456,6 +457,28 @@ class TestWeightRoute:
         for t, value in zip(theta, weight):
             mask = fisher_from_coefficients(*closed_overlaps(probe, n, t)[:, popcounts(n)])
             assert abs(value - mask) <= 1e-10 * mask
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dm_families_match_mask_route(self, probe, n):
+        # the direct readout's weight classes against its kernel on the 2^N
+        # mask rows, at 0, the stationary angles and generic angles
+        theta = np.concatenate([[0.0, 1e-4, 0.3, 0.7, 1.2], np.arange(2 * n + 1) * np.pi / (2 * n)])
+        families = closed_families(probe, n, theta, readout_kernel(DM, 2))
+        got = fisher_from_weight_classes(families)
+        f0_closed = 2.0 * n * n if probe == "ghz" else 2.0 * n
+        for t, value in zip(theta, got):
+            want = cfi(DM, closed_overlaps(probe, n, t)[:, popcounts(n)], 2)
+            assert abs(value - want) <= 1e-13 * f0_closed, (t, value, want)
+
+    @pytest.mark.parametrize("n", list(range(1, 11)) + [16, 32, 63, 64])
+    def test_dm_product_closed_form(self, n):
+        # independent sites: N sin^2(2t) / ((1 + cos^2 t)(1 + sin^2 t)), 4N/9 at pi/4
+        theta = np.concatenate([self.angles(n), np.linspace(0.0, np.pi / 2, 2001)])
+        families = closed_families("product", n, theta, readout_kernel(DM, 2))
+        got = fisher_from_weight_classes(families)
+        want = n * np.sin(2 * theta) ** 2 / ((1 + np.cos(theta) ** 2) * (1 + np.sin(theta) ** 2))
+        assert np.all(np.abs(got - want) <= 1e-13 * 2.0 * n)
 
     def test_rule_rejects_negative_family(self):
         with pytest.raises(RuntimeError, match="PSD"):

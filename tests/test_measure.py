@@ -7,6 +7,7 @@ from framefree.cli import _scan_columns
 from framefree.fisher import (
     f0,
     fisher_from_coefficients,
+    fisher_from_weight_classes,
     qfi_from_spectrum,
     qfi_ghz_closed,
     qfi_gui_ghz_closed,
@@ -19,8 +20,6 @@ from framefree.measure import (
     OutcomeDistribution,
     _golden_max,
     cfi,
-    cfi_dm,
-    cfi_dm_from_overlap,
     cfi_grm,
     cfi_grm_from_overlap,
     cfi_gst,
@@ -32,11 +31,13 @@ from framefree.measure import (
     probs_gst,
     probs_lbm,
     probs_lst,
+    readout_kernel,
     sample_outcomes,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import QuditLayout, hamming, popcounts
 from framefree.twirl import (
+    closed_families,
     closed_gap,
     closed_lui,
     closed_overlaps,
@@ -57,6 +58,11 @@ def ghz_pair(n, theta):
 
 def ghz_overlap(n, theta):
     return math.cos(n * theta) ** 2, -n * math.sin(2 * n * theta)
+
+
+def ghz_dm(n, theta):
+    """Direct-readout information of the GHZ probe from its weight classes."""
+    return fisher_from_weight_classes(closed_families("ghz", n, theta, readout_kernel(DM, 2)))
 
 
 def stacked(model):
@@ -182,28 +188,49 @@ class TestDmReadout:
             want = model_information(lambda t: probs_dm(lui_coefficients(pair_fn(t))), theta)
             assert abs(got - want) <= 1e-6 * want, (theta, got, want)
 
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weight_classes_match_dense_diagonal(self, probe, n):
+        # oracle: the diagonal of the assembled state grouped by the number
+        # of sites whose two copies coincide, differentiated centrally
+        idx = np.arange(1 << (2 * n))
+        weight = n - popcounts(n)[(idx & ((1 << n) - 1)) ^ (idx >> n)]
+
+        def classes(t):
+            diag = np.diag(lui_density(closed_lui(probe, n, t)).matrix)
+            return np.bincount(weight, diag, minlength=n + 1)
+
+        kernel = readout_kernel(DM, 2)
+        h = 1e-5
+        for theta in (0.3, 0.7, 1.2):
+            p, dp = classes(theta), (classes(theta + h) - classes(theta - h)) / (2 * h)
+            want = np.sum(dp * dp / p)
+            got = fisher_from_weight_classes(closed_families(probe, n, theta, kernel))
+            assert abs(got - want) <= 1e-6 * want, (theta, got, want)
+
     def test_closed_form_peak_n2(self):
-        # maximum of the overlap-driven closed form for the GHZ probe at N=2
+        # maximum of the weight-class information for the GHZ probe at N=2,
+        # where the mask route agrees
         grid = np.linspace(1e-4, np.pi / 2, 4001)
-        peak = max(cfi_dm_from_overlap(*ghz_overlap(2, t), 2) for t in grid)
-        assert abs(peak - 0.990) <= 0.005
-        assert abs(peak / 8.0 - 0.124) <= 0.005
+        values = ghz_dm(2, grid)
+        peak = values.max()
+        assert abs(peak - 0.8005) <= 0.005
+        assert abs(peak / 8.0 - 0.100) <= 0.005
+        at = grid[np.argmax(values)]
+        assert abs(peak - cfi(DM, closed_overlaps("ghz", 2, at)[:, popcounts(2)], 2)) <= 1e-13 * 8
 
     def test_zero_angle_no_information(self):
-        s, ds = ghz_overlap(2, 0.0)
-        assert cfi_dm_from_overlap(s, ds, 2) == 0.0
+        assert ghz_dm(2, 0.0) == 0.0
 
     def test_large_n_exponential_loss(self):
-        n = 10
+        # peak share of 2N^2 for N = 2..6 and 10; each N loses more than half
         grid = np.linspace(1e-3, np.pi / 2, 20001)
-        peak = max(cfi_dm_from_overlap(*ghz_overlap(n, t), n) for t in grid)
-        target = n * n / 2.0**n
-        assert abs(peak - target) / target <= 0.15
-
-    def test_pair_interface_matches_kernel(self):
-        pair = ghz_pair(2, 0.4)
-        s, ds = ghz_overlap(2, 0.4)
-        assert abs(cfi_dm(pair) - cfi_dm_from_overlap(s, ds, 2)) < 1e-12
+        targets = {2: 10.0, 3: 4.5, 4: 2.1, 5: 0.94, 6: 0.43, 10: 0.019}
+        shares = {n: 100.0 * ghz_dm(n, grid).max() / (2.0 * n * n) for n in targets}
+        for n, target in targets.items():
+            assert abs(shares[n] - target) / target <= 0.15, (n, shares[n])
+        for n in range(3, 7):
+            assert shares[n] < shares[n - 1] / 2.0, (n, shares)
 
 
 class TestGrmReadout:
@@ -362,7 +389,7 @@ class TestStrategyOrdering:
         for theta in np.linspace(0.05, 1.5, 30):
             s, ds = ghz_overlap(n, theta)
             ceiling = qfi_ghz_closed(n, theta) + 1e-6
-            assert cfi_dm_from_overlap(s, ds, n) <= ceiling
+            assert ghz_dm(n, theta) <= ceiling
             assert cfi_grm_from_overlap(s, ds, n) <= ceiling
             dds = -2.0 * n * n * math.cos(2 * n * theta)
             assert cfi_gst_from_overlap(s, closed_gap("ghz", n, theta), ds, dds) <= ceiling

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framefree.fisher import lui_spectrum
+from framefree.measure import DM, readout_kernel
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
     WALSH_KERNEL,
@@ -226,16 +227,19 @@ class TestClosedFamilies:
     @pytest.mark.parametrize("probe", ["ghz", "product"])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_walsh_transform(self, probe, n):
-        # the factorised class sums against the Walsh transform of the mask
-        # rows; the transform's own rounding is at most n eps sum|row|
+        # the class sums of the swap test (kernel W / 2) and of the direct
+        # readout against the transform of the mask rows by 2K; the
+        # transform's own rounding is at most n eps |2K| |row|, which is
+        # n eps sum|row| for 2K = W
         seeded = np.random.default_rng(n).uniform(0.0, np.pi, 3)
         angles = np.concatenate([[0.0, 3e-4], np.arange(1, 2 * n + 1) * np.pi / (2 * n), seeded])
-        families = closed_families(probe, n, angles)
-        assert families.shape == (3, angles.size, n + 1)
         rows = closed_overlaps(probe, n, angles)[..., popcounts(n)]
-        walsh = subset_transform(rows, WALSH_KERNEL)
-        tol = 2.0 * n * np.finfo(float).eps * np.abs(rows).sum(axis=-1, keepdims=True)
-        assert np.all(np.abs(families[..., popcounts(n)] - walsh) <= tol)
+        assert closed_families(probe, n, angles).shape == (3, angles.size, n + 1)
+        for kernel in (WALSH_KERNEL / 2, readout_kernel(DM, 2)):
+            families = closed_families(probe, n, angles, kernel)
+            transform = subset_transform(rows, 2 * kernel)
+            tol = 2.0 * n * np.finfo(float).eps * subset_transform(np.abs(rows), np.abs(2 * kernel))
+            assert np.all(np.abs(families[..., popcounts(n)] - transform) <= tol)
 
     def test_exact_zeros_at_zero_angle(self):
         # theta = 0 is a true zero of every class but w = 0 for the product
