@@ -106,7 +106,6 @@ def run_scan(cfg: dict) -> dict:
         "theta_min": lo,
         "theta_max": hi,
         "theta_points": points,
-        "seed": int(cfg["seed"]),
         "f_max": 2.0 * n * n,
         "sql": 2.0 * n,
         "csv": str(out),
@@ -208,7 +207,7 @@ def _suite_no_go(seed: int) -> list:
         n = probe.layout.n_sites
         weights = rng.uniform(0.2, 1.0, size=n)
         h = HamiltonianSpec(QuditLayout(n, 2, 1), site_weights=weights)
-        value = fisher.qfi_ie_general(lambda t, p=probe, g=h: make_pair(p, g, t, IE), 0.4).value
+        value = fisher.qfi_ie_general(lambda t, p=probe, g=h: make_pair(p, g, t, IE), 0.4)
         worst = max(worst, value)
         checks.append(_check(f"ie_zero_{name}", value, 1e-8, value <= 1e-8))
     checks.append(_check("ie_zero_worst", worst, 1e-8, worst <= 1e-8))
@@ -310,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--theta-max", type=float, dest="theta_max")
     scan.add_argument("--theta-points", type=int, dest="theta_points")
     scan.add_argument("--strategies")
-    scan.add_argument("--seed", type=int)
     scan.add_argument("--out")
     scan.add_argument("--config")
 
@@ -345,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _SCAN_DEFAULTS = {
     "probe": "ghz", "sites": 2, "theta_min": 0.0, "theta_max": math.pi / 2,
-    "theta_points": 101, "strategies": "qfi_re,cfi_lbm,cfi_dm",
-    "seed": DEFAULT_SEED, "out": "scan.csv",
+    "theta_points": 101, "strategies": "qfi_re,cfi_lbm,cfi_dm", "out": "scan.csv",
 }
 _VERIFY_DEFAULTS = {"suite": "no_go", "seed": DEFAULT_SEED, "out": None}
 _ESTIMATE_DEFAULTS = {

@@ -10,7 +10,6 @@ that factorize between encoded and unencoded sites.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +21,6 @@ SUM_ROUNDING = 8.0  # rounding scale of a class sum, in eps times the size of it
 _MODE_NAMES = {RE: "reversed", IE: "identical"}
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One eigenvalue family of the invariant state, labelled by the
-    antisymmetric-site mask; `degeneracy` counts the repeated eigenvectors."""
-
-    mask: int
-    eigenvalue: float
-    degeneracy: int
-
-
-@dataclass(eq=False)
-class FisherResult:
-    theta: float
-    value: float
-    method: str
-
-
 def _spectrum(n: int, d: int):
     """Overlaps-to-eigenvalues kernel of the invariant state, and the degeneracies."""
     k = popcounts(n)
@@ -47,14 +29,13 @@ def _spectrum(n: int, d: int):
     return kernel, (d * (d + 1) // 2) ** (n - k) * (d * (d - 1) // 2) ** k
 
 
-def lui_spectrum(lui: LuiState) -> list[SpectrumEntry]:
-    """Eigenvalues of the dense invariant state, indexed by the mask of
-    antisymmetric sites, with combinatorial degeneracies."""
+def lui_spectrum(lui: LuiState) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the dense invariant state and their combinatorial
+    degeneracies, both indexed by the mask of antisymmetric sites."""
     if lui.coeffs.ndim != 1:
         raise ValueError("the spectrum is listed for a single state")
     kernel, deg = _spectrum(lui.n_sites, lui.layout.local_dim)
-    lam = subset_transform(lui.coeffs, kernel)
-    return [SpectrumEntry(b, float(lam[b]), int(deg[b])) for b in range(lam.size)]
+    return subset_transform(lui.coeffs, kernel), deg
 
 
 def information_sum(den, num, sec, mult, r):
@@ -124,11 +105,11 @@ def qfi_from_spectrum(series, local_dim: int) -> float:
     return fisher_from_coefficients(*c, kernel=kernel, mult=deg)
 
 
-def _qfi_general(pair_fn, theta: float, mode: str) -> FisherResult:
+def _qfi_general(pair_fn, theta: float, mode: str) -> float:
     pair = pair_fn(theta)
     if pair.mode != mode:
         raise ValueError(f"qfi_{mode}_general expects {_MODE_NAMES[mode]}-encoding pairs")
-    return FisherResult(theta, fisher_from_coefficients(*swap_overlaps(pair)), f"{mode}_general")
+    return fisher_from_coefficients(*swap_overlaps(pair))
 
 
 # qfi_re_general, qfi_ie_general, qfi_m_site_closed and qfi_gui_re accept one
@@ -136,12 +117,12 @@ def _qfi_general(pair_fn, theta: float, mode: str) -> FisherResult:
 # perfbench/workloads.py passes a derivative step there.
 
 
-def qfi_re_general(pair_fn, theta: float, _ignored=None, /) -> FisherResult:
+def qfi_re_general(pair_fn, theta: float, _ignored=None, /) -> float:
     """Information of the locally twirled reversed-encoding state."""
     return _qfi_general(pair_fn, theta, RE)
 
 
-def qfi_ie_general(pair_fn, theta: float, _ignored=None, /) -> FisherResult:
+def qfi_ie_general(pair_fn, theta: float, _ignored=None, /) -> float:
     """Information of the locally twirled identical-encoding state (purity terms)."""
     return _qfi_general(pair_fn, theta, IE)
 

@@ -6,42 +6,33 @@ mask for swap tests and Bell readout); grouping preserves the information
 because probabilities inside a class coincide.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import SUM_ROUNDING, fisher_from_coefficients, information_sum
+from .fisher import fisher_from_coefficients, fisher_from_weight_classes
 from .states import EncodedPair
-from .tensor import SWAP_TEST_KERNEL, popcounts, subset_transform
+from .tensor import SWAP_TEST_KERNEL, subset_transform
 from .twirl import LuiState, global_overlap_series
 
 PROB_ATOL = -1e-12
-CLASS_PROB_TOL = 1e-10
 PROB_SUM_ATOL = 1e-9
 
 DM = "dm"
-GST = "gst"
 LST = "lst"
 LBM = "lbm"
 
 
 @dataclass(eq=False)
 class OutcomeDistribution:
-    """Probabilities over outcome classes on the last axis, at the encoding
-    angle `theta`, or one row per angle of an array, each row on its own."""
+    """Probabilities over outcome classes on the last axis; each row (one
+    per encoding angle of an array) is checked on its own."""
 
-    labels: tuple
     probs: np.ndarray
-    theta: float | np.ndarray
-    strategy: str
-    multiplicity: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if (len(self.labels),) != p.shape[-1:]:
-            raise ValueError("one label per probability expected")
         if not p.min() >= PROB_ATOL:  # also turns away NaN
             raise ValueError(f"negative or undefined probability {p.min()}")
         worst = np.abs(p.sum(axis=-1) - 1.0).max()
@@ -53,20 +44,18 @@ class OutcomeDistribution:
 
 @dataclass(eq=False)
 class EstimationRun:
-    true_theta: float
-    shots: int
-    outcomes: np.ndarray
     estimate: float
     variance: float
     crb: float
-    boundary_hits: int = 0
-    repetitions: int = 1
+    boundary_hits: int
 
 
 def readout_kernel(readout: str, local_dim: int) -> np.ndarray:
     """Kronecker kernel K of the dm, lst or lbm readout: class probabilities K c."""
     if readout == DM:
         return np.array([[local_dim, -1.0], [1.0, 1.0]]) / (local_dim + 1.0)
+    if readout == LBM and local_dim != 2:
+        raise ValueError("Bell readout is defined for qubits")
     # the Bell readout splits each swap-test class into equal-probability patterns
     if readout in (LST, LBM):
         return SWAP_TEST_KERNEL
@@ -86,19 +75,11 @@ def cfi(readout: str, series, local_dim: int) -> float:
 # -- computational-basis readout (per-site coincidence classes)
 
 
-@functools.cache
-def _mask_labels(kind: str, n: int) -> tuple:
-    return tuple(f"{kind}:{m:0{n}b}" for m in range(1 << n))
-
-
 def probs_dm(lui: LuiState) -> OutcomeDistribution:
     """Both-copy computational-basis readout after the local twirl, grouped
     by the mask of sites whose two copies coincide."""
-    n, d = lui.n_sites, lui.layout.local_dim
-    probs = subset_transform(lui.coeffs, readout_kernel(DM, d))
-    mult = d**n * (d - 1) ** (n - popcounts(n))
-    return OutcomeDistribution(_mask_labels("coincide", n), probs, lui.theta, DM,
-                               multiplicity=mult)
+    kernel = readout_kernel(DM, lui.layout.local_dim)
+    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
 
 
 # -- globally randomized computational-basis readout
@@ -122,22 +103,21 @@ def probs_gst(lui: LuiState) -> OutcomeDistribution:
     <S> the full-mask overlap.  The full swap commutes with collective
     rotations, so the local twirl keeps <S>."""
     s = lui.coeffs[..., -1]
-    return OutcomeDistribution(("+", "-"), np.stack([(1 + s) / 2, (1 - s) / 2], axis=-1),
-                               lui.theta, GST)
+    return OutcomeDistribution(np.stack([(1 + s) / 2, (1 - s) / 2], axis=-1))
 
 
 def cfi_gst_from_overlap(s, gap, ds, dds):
-    """(ds)^2 / (1 - s^2) as the information sum of the two ancilla classes
-    (1 +/- s)/2, with gap = 1 - s formed without cancellation, as
-    `twirl.closed_gap` and `twirl.global_overlap_series` give it, so both
-    class sums carry only relative rounding: r = SUM_ROUNDING * eps * den.
-    At a stationary point the class 1 - s takes its limit from dds.
-    Elementwise over arrays of angles; a scalar for scalar input."""
+    """(ds)^2 / (1 - s^2) as the information of the two ancilla classes
+    (1 +/- s)/2: the weight classes of one site, with gap = 1 - s formed
+    without cancellation, as `twirl.closed_gap` and
+    `twirl.global_overlap_series` give it, so both class sums are sums of
+    non-negative terms.  At a stationary point the class 1 - s takes its
+    limit from dds.  Elementwise over arrays of angles; a scalar for scalar
+    input."""
     s, gap, ds, dds = (np.asarray(x, dtype=float) for x in (s, gap, ds, dds))
-    den = np.stack([1.0 + s, gap], axis=-1)
-    num = np.stack([ds, -ds], axis=-1)
-    sec = np.stack([dds, -dds], axis=-1)
-    return information_sum(den, num, sec, np.ones(2), SUM_ROUNDING * np.finfo(float).eps * den)[()]
+    # rows den, num, sec of the classes 1 + s and 1 - s on the last axis
+    families = np.stack([[1.0 + s, ds, dds], [gap, -ds, -dds]], axis=-1)
+    return fisher_from_weight_classes(families)[()]
 
 
 def cfi_gst(pair: EncodedPair) -> float:
@@ -148,30 +128,17 @@ def cfi_gst(pair: EncodedPair) -> float:
 # -- local swap test and local Bell readout
 
 
-def _class_probs(lui: LuiState) -> np.ndarray:
-    """Probabilities of the antisymmetric-site-mask classes: the signed
-    coefficient sums over 2^N."""
-    p = subset_transform(lui.coeffs, SWAP_TEST_KERNEL)
-    if not p.min() >= -CLASS_PROB_TOL:
-        raise RuntimeError(f"inconsistent coefficients: probability {p.min()}")
-    return p
-
-
 def probs_lst(lui: LuiState) -> OutcomeDistribution:
-    """Per-site ancilla bitstring probabilities of the local swap test."""
-    return OutcomeDistribution(_mask_labels("ancilla", lui.n_sites), _class_probs(lui),
-                               lui.theta, LST)
+    """Per-site ancilla bitstring probabilities of the local swap test,
+    grouped by the mask of antisymmetric sites."""
+    return OutcomeDistribution(subset_transform(lui.coeffs, SWAP_TEST_KERNEL))
 
 
 def probs_lbm(lui: LuiState) -> OutcomeDistribution:
     """Per-site Bell readout (qubits): patterns grouped by the mask of sites
     that landed in the singlet, triplet choices folded into the class."""
-    if lui.layout.local_dim != 2:
-        raise ValueError("Bell readout is defined for qubits")
-    n = lui.n_sites
-    mult = 3 ** (n - popcounts(n))
-    return OutcomeDistribution(_mask_labels("singlet", n), _class_probs(lui), lui.theta, LBM,
-                               multiplicity=mult)
+    kernel = readout_kernel(LBM, lui.layout.local_dim)
+    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
 
 
 # -- sampling and estimation
@@ -264,12 +231,8 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
         part = slice(start, start + block)
         estimates[part], flagged[part] = mle_estimate(counts[part], model, window)
     return EstimationRun(
-        true_theta=true_theta,
-        shots=shots,
-        outcomes=counts.sum(axis=0),
         estimate=float(estimates.mean()),
         variance=float(estimates.var(ddof=1)),
         crb=crb,
         boundary_hits=int(flagged.sum()),
-        repetitions=repetitions,
     )

@@ -48,6 +48,8 @@ class HamiltonianSpec:
             w = np.asarray(self.site_weights, dtype=float)
             if w.shape != (self.layout.n_sites,):
                 raise ValueError("one weight per site expected")
+            if not np.isfinite(w).all():
+                raise ValueError("site weights must be finite")
             self.site_weights = w
             self.support = int(sum(1 << i for i in range(w.size) if w[i] != 0.0))
             self._z_diag = _site_signs(self.layout.n_sites) @ w
@@ -57,7 +59,8 @@ class HamiltonianSpec:
             dim = self.layout.dim
             if mat.shape != (dim, dim):
                 raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
+            herm_err = np.max(np.abs(mat - mat.conj().T))
+            if not herm_err <= 1e-12 * max(1.0, np.max(np.abs(mat))):  # NaN fails
                 raise ValueError("matrix is not Hermitian")
             self.matrix = mat
             if self.support == 0:
@@ -104,9 +107,7 @@ class EncodedPair:
     psi_plus: StateVector
     psi_minus: StateVector
     mode: str
-    theta: float
     hamiltonian: HamiltonianSpec
-    initial: StateVector
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -119,10 +120,6 @@ class EncodedPair:
     @property
     def layout(self) -> QuditLayout:
         return self.psi_plus.layout
-
-    def at(self, theta: float) -> "EncodedPair":
-        """Same probe and generator, re-encoded at a different angle."""
-        return make_pair(self.initial, self.hamiltonian, theta, self.mode)
 
 
 def ghz_state(n: int, d: int = 2) -> StateVector:
@@ -164,15 +161,4 @@ def make_pair(psi0: StateVector, h: HamiltonianSpec, theta: float, mode: str) ->
         raise ValueError(f"mode must be one of {MODES}")
     plus = evolve(psi0, h, theta)
     minus = evolve(psi0, h, theta if mode == IE else -theta)
-    return EncodedPair(plus, minus, mode, float(theta), h, psi0)
-
-
-def distributed_encode(psi: StateVector, thetas) -> StateVector:
-    """Per-site Z-phase encoding exp(-(i/2) * sum_j theta_j Z_j), qubits only."""
-    thetas = np.asarray(thetas, dtype=float)
-    if psi.layout.local_dim != 2:
-        raise ValueError("distributed encoding is defined for qubits")
-    if thetas.shape != (psi.layout.n_sites,):
-        raise ValueError("one angle per site expected")
-    phases = np.exp(-0.5j * (_site_signs(psi.layout.n_sites) @ thetas))
-    return StateVector(psi.layout, psi.amplitudes * phases)
+    return EncodedPair(plus, minus, mode, h)

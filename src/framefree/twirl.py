@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import IE, RE, EncodedPair
+from .states import IE, EncodedPair
 from .tensor import (
     SWAP_TEST_KERNEL,
     DensityOperator,
@@ -34,19 +34,18 @@ COEFF_RANGE_TOL = 1e-10
 
 @dataclass(eq=False)
 class LuiState:
-    """Local-unitary-invariant state: 2^N swap-mask overlaps per angle of `theta`."""
+    """Local-unitary-invariant state: the 2^N swap-mask overlaps on the last
+    axis, one state per entry of the leading axes."""
 
     layout: QuditLayout
     coeffs: np.ndarray
-    mode: str
-    theta: float | np.ndarray
 
     def __post_init__(self):
         if self.layout.copies != 1:
             raise ValueError("LuiState carries the single-copy layout")
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != np.shape(self.theta) + (1 << self.layout.n_sites,):
-            raise ValueError(f"expected {1 << self.layout.n_sites} coefficients per angle")
+        if c.shape[-1:] != (1 << self.layout.n_sites,):
+            raise ValueError(f"expected {1 << self.layout.n_sites} coefficients on the last axis")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         self.coeffs = c
@@ -62,7 +61,6 @@ class GuiState:
 
     layout: QuditLayout
     s_global: float
-    theta: float
 
     def __post_init__(self):
         if not -COEFF_RANGE_TOL <= self.s_global <= 1.0 + COEFF_RANGE_TOL:
@@ -127,7 +125,7 @@ def swap_overlaps(pair: EncodedPair, order: int = 2) -> np.ndarray:
 
 def lui_coefficients(pair: EncodedPair) -> LuiState:
     """All 2^N overlap coefficients of the twirled two-copy product."""
-    return LuiState(pair.layout, swap_overlaps(pair, 0)[0], pair.mode, pair.theta)
+    return LuiState(pair.layout, swap_overlaps(pair, 0)[0])
 
 
 # -- closed-form probe model (GHZ and product-plus probes, 1/2-weight Z sum,
@@ -230,7 +228,7 @@ def closed_lui(probe: str, n: int, theta) -> LuiState:
     """Twirled two-copy state of the GHZ or product-plus probe under the
     half-weight Z sum, reversed encoding; one state per angle of an array."""
     coeffs = closed_overlaps(probe, n, theta, 0)[0][..., popcounts(n)]
-    return LuiState(QuditLayout(n, 2, 1), coeffs, RE, theta)
+    return LuiState(QuditLayout(n, 2, 1), coeffs)
 
 
 def ghz_lui(n: int, theta: float) -> LuiState:
@@ -287,7 +285,7 @@ def global_overlap_series(pair: EncodedPair) -> tuple:
 
 def gui_state(pair: EncodedPair) -> GuiState:
     """Globally twirled two-copy state: only the full swap expectation survives."""
-    return GuiState(pair.layout, global_overlap_series(pair)[0], pair.theta)
+    return GuiState(pair.layout, global_overlap_series(pair)[0])
 
 
 def gui_density(state: GuiState) -> DensityOperator:

@@ -179,9 +179,7 @@ def lui_state_checks(lui: LuiState) -> dict:
     coeffs = lui.coeffs
     mat = _lui_matrix(lui)
     eigvals = np.linalg.eigvalsh(mat)
-    entries = sorted(lui_spectrum(lui), key=lambda e: e.eigenvalue)
-    predicted = np.sort(np.repeat([e.eigenvalue for e in entries],
-                                  [e.degeneracy for e in entries]))
+    predicted = np.sort(np.repeat(*lui_spectrum(lui)))
     tol = LUI_CHECK_ATOL
     return {
         "c0_is_one": bool(abs(coeffs[0] - 1.0) <= tol),

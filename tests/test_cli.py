@@ -59,11 +59,9 @@ class TestScan:
         meta = json.loads((tmp_path / "s.json").read_text())
         assert meta["f_max"] == 18.0
         assert meta["sql"] == 6.0
-        assert meta["seed"] == 0xC0FFEE
 
     def test_bit_identical_reruns(self, tmp_path):
-        args = ["scan", "--probe", "ghz", "--sites", "2", "--theta-points", "25",
-                "--seed", "7"]
+        args = ["scan", "--probe", "ghz", "--sites", "2", "--theta-points", "25"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
@@ -205,9 +203,10 @@ class TestScan:
             assert np.all(np.abs(rows[:, 5] - dm) <= 1e-11 * dm + 1e-14 * f0)
         assert np.all(np.abs(rows[:, 4] - gui) <= 1e-11 * gui + 1e-14 * f0)
 
-    def test_step_flag_removed(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--step", "--seed"])
+    def test_removed_flag_rejected(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--step", "1e-3", "--out", str(tmp_path / "x.csv")])
+            main(["scan", flag, "3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
     def test_degenerate_grid_rejected(self, tmp_path):
@@ -290,12 +289,11 @@ class TestVerify:
 
     def test_tampered_coefficients_fail(self):
         # negative control: hand-edited coefficients must break the validity leg
-        from framefree.states import RE
         from framefree.twirl import LuiState, ghz_lui
         from framefree.verify import lui_state_checks
 
         lui = ghz_lui(2, 0.3)
-        bad = LuiState(lui.layout, lui.coeffs.copy(), RE, 0.3)
+        bad = LuiState(lui.layout, lui.coeffs.copy())
         bad.coeffs[0] = 0.7
         assert not all(lui_state_checks(bad).values())
 

@@ -35,7 +35,7 @@ from framefree.measure import (
     sample_outcomes,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
-from framefree.tensor import QuditLayout, hamming, popcounts
+from framefree.tensor import QuditLayout, popcounts
 from framefree.twirl import (
     closed_families,
     closed_gap,
@@ -72,8 +72,7 @@ def stacked(model):
         t = np.asarray(theta, dtype=float)
         dists = [model(float(x)) for x in t.ravel()]
         probs = np.stack([dist.probs for dist in dists]).reshape(t.shape + (-1,))
-        return OutcomeDistribution(dists[0].labels, probs, t, dists[0].strategy,
-                                   dists[0].multiplicity)
+        return OutcomeDistribution(probs)
     return batched
 
 
@@ -320,8 +319,8 @@ class TestLocalSwapTest:
         from framefree.twirl import LuiState
         from framefree.tensor import QuditLayout
 
-        bad = LuiState(QuditLayout(2, 2, 1), np.array([1.0, 1.0, 0.0, 1.0]), RE, 0.1)
-        with pytest.raises(RuntimeError, match="inconsistent"):
+        bad = LuiState(QuditLayout(2, 2, 1), np.array([1.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="negative"):
             probs_lst(bad)
 
     def test_saturates_twirled_information(self):
@@ -344,23 +343,18 @@ class TestLocalBellReadout:
         from framefree.twirl import LuiState
         from framefree.tensor import QuditLayout
 
-        lui = LuiState(QuditLayout(1, 3, 1), np.array([1.0, 0.5]), RE, 0.1)
+        lui = LuiState(QuditLayout(1, 3, 1), np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="qubit"):
             probs_lbm(lui)
-
-    def test_pattern_multiplicities(self):
-        dist = probs_lbm(ghz_lui(2, 0.5))
-        for label, mult in zip(dist.labels, dist.multiplicity):
-            mask = int(label.split(":")[1], 2)
-            assert mult == 3 ** (2 - hamming(mask))
+        # the information of the same readout is refused alike
+        with pytest.raises(ValueError, match="qubit"):
+            cfi(LBM, [[1.0, 0.5], [0.0, 0.1], [0.0, 0.0]], 3)
 
     def test_all_patterns_sum_to_one(self):
-        # classes carry the triplet choices; summing pattern probabilities over
-        # all 4^N patterns gives 1
+        # one class per singlet mask, the triplet choices folded into it
         dist = probs_lbm(ghz_lui(3, 0.8))
-        per_pattern = dist.probs / dist.multiplicity
-        assert np.isclose(np.sum(per_pattern * dist.multiplicity), 1.0, atol=1e-9)
-        assert dist.multiplicity.sum() == 4**3
+        assert dist.probs.shape == (2**3,)
+        assert np.isclose(dist.probs.sum(), 1.0, atol=1e-9)
 
     def test_matches_swap_test_classes(self):
         lst = probs_lst(ghz_lui(2, 0.7))
@@ -408,7 +402,7 @@ class TestStrategyOrdering:
                 a = cfi(readout, rows, 2)
                 b = model_information(lambda t: probs(lui_coefficients(pair_fn(t))), theta)
                 assert abs(a - b) <= 1e-6 * max(b, 1e-9), (readout, theta, a, b)
-            general = qfi_re_general(pair_fn, theta).value
+            general = qfi_re_general(pair_fn, theta)
             assert abs(cfi(LST, rows, 2) - general) <= 1e-12 * general
 
 
@@ -459,7 +453,7 @@ class TestSampling:
             sample_outcomes(dist, 0, rng)
 
     def test_deterministic_distribution(self, rng):
-        dist = OutcomeDistribution(("a", "b"), np.array([1.0, 0.0]), 0.1, "gst")
+        dist = OutcomeDistribution(np.array([1.0, 0.0]))
         counts = sample_outcomes(dist, 500, rng)
         assert counts[0] == 500 and counts[1] == 0
 
@@ -552,19 +546,17 @@ class TestEstimationExperiment:
         # 2^17 classes hold 8 repetitions per 2^20-count block: 10 take two
         k = 1 << 17
         sign = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-        labels = tuple(range(k))
 
         def model(t):
             t = np.asarray(t, dtype=float)
             probs = (1.0 + np.cos(t)[..., None] * sign) / k
-            return OutcomeDistribution(labels, probs, t, "toy")
+            return OutcomeDistribution(probs)
 
         run = estimation_experiment(model, 0.6, 1.0, 20_000, 10, seed=3)
         counts = [sample_outcomes(model(0.6), 20_000, np.random.default_rng([3, r]))
                   for r in range(10)]
         est = np.array([mle_estimate(c, model, default_window(0.6))[0] for c in counts])
         assert run.estimate == float(est.mean()) and run.variance == float(est.var(ddof=1))
-        assert np.array_equal(run.outcomes, np.sum(counts, axis=0))
 
     @pytest.mark.parametrize("information", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_information_not_finite_and_positive(self, information):
@@ -575,31 +567,43 @@ class TestEstimationExperiment:
 
 def test_distribution_validation():
     with pytest.raises(ValueError, match="negative"):
-        OutcomeDistribution(("a", "b"), np.array([1.1, -0.1]), 0.0, "dm")
+        OutcomeDistribution(np.array([1.1, -0.1]))
     with pytest.raises(ValueError, match="sum"):
-        OutcomeDistribution(("a", "b"), np.array([0.7, 0.7]), 0.0, "dm")
+        OutcomeDistribution(np.array([0.7, 0.7]))
     with pytest.raises(ValueError, match="undefined"):
-        OutcomeDistribution(("a", "b"), np.array([np.nan, 1.0]), 0.1, "gst")
+        OutcomeDistribution(np.array([np.nan, 1.0]))
     # rows are checked on their own
     with pytest.raises(ValueError, match="sum"):
-        OutcomeDistribution(("a", "b"), np.array([[0.5, 0.5], [0.7, 0.7]]), np.zeros(2), "dm")
+        OutcomeDistribution(np.array([[0.5, 0.5], [0.7, 0.7]]))
     with pytest.raises(ValueError, match="undefined"):
-        OutcomeDistribution(("a", "b"), np.array([[0.5, 0.5], [np.nan, 1.0]]), np.zeros(2), "dm")
+        OutcomeDistribution(np.array([[0.5, 0.5], [np.nan, 1.0]]))
 
 
 def test_nan_coefficient_rejected_by_readouts():
     # a coefficient corrupted after the state was validated
     lui = ghz_lui(2, 0.3)
     lui.coeffs[1] = np.nan
-    with pytest.raises(RuntimeError, match="inconsistent"):
+    with pytest.raises(ValueError, match="undefined"):
         probs_lbm(lui)
-    with pytest.raises(RuntimeError, match="inconsistent"):
+    with pytest.raises(ValueError, match="undefined"):
         probs_lst(lui)
     with pytest.raises(ValueError, match="undefined"):
         probs_dm(lui)
     lui.coeffs[-1] = np.nan
     with pytest.raises(ValueError, match="undefined"):
         probs_gst(lui)
+
+
+def test_class_probability_below_floor_rejected():
+    # class 1 of this tampered one-site state has probability (1 - c_1) / 2,
+    # about -1e-11: below the -1e-12 floor of every outcome distribution
+    from framefree.twirl import LuiState
+
+    lui = LuiState(QuditLayout(1, 2, 1), np.array([1.0, 1.0 + 2e-11]))
+    assert -1e-10 < (1.0 - lui.coeffs[1]) / 2 < -1e-12
+    for readout in (probs_lst, probs_lbm):
+        with pytest.raises(ValueError, match="negative"):
+            readout(lui)
 
 
 @pytest.mark.parametrize("probe, n", [("ghz", 3), ("product", 4)])
@@ -616,5 +620,3 @@ def test_angle_arrays_match_per_angle_objects(probe, n):
                 continue
             one = readout(one)
             assert np.array_equal(rows.probs[i], one.probs)
-            assert rows.labels is one.labels
-            assert rows.theta[i] == one.theta

@@ -5,7 +5,6 @@ from framefree.states import (
     IE,
     RE,
     HamiltonianSpec,
-    distributed_encode,
     evolve,
     ghz_state,
     make_pair,
@@ -68,6 +67,18 @@ class TestHamiltonianSpec:
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="Hermitian"):
             HamiltonianSpec.dense(lay, mat)
+
+    @pytest.mark.parametrize("entry", [(1, 2), (3, 3)])
+    def test_dense_rejects_nan_entry(self, entry):
+        mat = np.eye(4, dtype=complex)
+        mat[entry] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            HamiltonianSpec.dense(QuditLayout(2, 2, 1), mat)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_z_sum_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSpec.pauli_z_sum(2, weights=[0.5, weight])
 
     def test_dense_rendering_matches(self):
         h = HamiltonianSpec.pauli_z_sum(2)
@@ -163,24 +174,32 @@ class TestMakePair:
 
 
 class TestDistributedEncode:
+    """Per-site angles theta_j encoded as evolution for unit time under the
+    Z sum with weights theta_j / 2."""
+
+    @staticmethod
+    def encode(psi, thetas):
+        weights = np.asarray(thetas) / 2
+        return evolve(psi, HamiltonianSpec.pauli_z_sum(psi.layout.n_sites, weights), 1.0)
+
     def test_zero_angles_identity(self, rng):
         psi = random_state(2, rng)
-        out = distributed_encode(psi, [0.0, 0.0])
+        out = self.encode(psi, [0.0, 0.0])
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_ghz_mean_phase(self):
         # oracle: direct amplitude inspection; relative phase is N * mean(thetas)
         psi = ghz_state(2)
-        out = distributed_encode(psi, [0.1, 0.3])
+        out = self.encode(psi, [0.1, 0.3])
         rel = out.amplitudes[-1] / out.amplitudes[0]
         assert np.isclose(np.angle(rel), 0.4, atol=1e-12)
 
     def test_ghz_permutation_invariant(self):
         psi = ghz_state(3)
-        a = distributed_encode(psi, [0.1, 0.5, 0.2]).amplitudes
-        b = distributed_encode(psi, [0.5, 0.2, 0.1]).amplitudes
+        a = self.encode(psi, [0.1, 0.5, 0.2]).amplitudes
+        b = self.encode(psi, [0.5, 0.2, 0.1]).amplitudes
         assert np.array_equal(a, b)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="per site"):
-            distributed_encode(ghz_state(2), [0.1])
+            self.encode(ghz_state(2), [0.1])

@@ -278,7 +278,7 @@ class TestLuiDensity:
         # oracle: (I + S) / (d (d + 1)) for unit coefficients
         for d in (2, 3):
             lay = QuditLayout(1, d, 1)
-            lui = LuiState(lay, np.array([1.0, 1.0]), RE, 0.0)
+            lui = LuiState(lay, np.array([1.0, 1.0]))
             dense = lui_density(lui).matrix
             swap = swap_operator(1, lay.two_copy())
             expected = (np.eye(d * d) + swap) / (d * (d + 1))
@@ -304,7 +304,7 @@ class TestLuiDensity:
     def test_scatter_matches_swap_operator_sum(self, rng, n, d):
         # oracle: the weighted sum of dense swap operators
         lay = QuditLayout(n, d, 1)
-        lui = LuiState(lay, rng.uniform(0.0, 1.0, 1 << n), RE, 0.0)
+        lui = LuiState(lay, rng.uniform(0.0, 1.0, 1 << n))
         weights = subset_transform(lui.coeffs, [[1.0, -1.0 / d], [-1.0 / d, 1.0]])
         expected = np.zeros((lay.dim ** 2, lay.dim ** 2), dtype=complex)
         for m in range(1 << n):
@@ -456,11 +456,13 @@ class TestGTwirlApply:
 
 def test_lui_state_shape_checks():
     with pytest.raises(ValueError, match="coefficients"):
-        LuiState(QuditLayout(2, 2, 1), np.ones(3), RE, 0.1)
-    with pytest.raises(ValueError, match="per angle"):
-        LuiState(QuditLayout(2, 2, 1), np.ones((3, 4)), RE, 0.1)
+        LuiState(QuditLayout(2, 2, 1), np.ones(3))
+    with pytest.raises(ValueError, match="last axis"):
+        LuiState(QuditLayout(2, 2, 1), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="last axis"):
+        LuiState(QuditLayout(2, 2, 1), np.float64(1.0))
     with pytest.raises(ValueError, match="finite"):
-        LuiState(QuditLayout(2, 2, 1), np.array([1.0, np.nan, 0.5, 0.5]), RE, 0.1)
+        LuiState(QuditLayout(2, 2, 1), np.array([1.0, np.nan, 0.5, 0.5]))
 
 
 def test_dense_consumers_take_a_single_state():

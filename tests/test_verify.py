@@ -171,7 +171,7 @@ class TestValidityChecks:
 
     def test_tampered_coefficients_fail(self):
         lui = lui_coefficients(ghz_pair(2, 0.5))
-        bad = LuiState(lui.layout, lui.coeffs.copy(), RE, 0.5)
+        bad = LuiState(lui.layout, lui.coeffs.copy())
         bad.coeffs[0] = 0.9
         checks = lui_state_checks(bad)
         assert not checks["c0_is_one"]
@@ -179,7 +179,7 @@ class TestValidityChecks:
 
     def test_out_of_range_coefficient_fails(self):
         lui = lui_coefficients(ghz_pair(2, 0.5))
-        bad = LuiState(lui.layout, lui.coeffs.copy(), RE, 0.5)
+        bad = LuiState(lui.layout, lui.coeffs.copy())
         bad.coeffs[3] = 1.4
         checks = lui_state_checks(bad)
         assert not checks["coeffs_in_range"]
