@@ -137,17 +137,6 @@ def f0(psi0, h) -> float:
     return float(8.0 * (second - mean * mean))
 
 
-def qfi_one_site_closed(tr_rho_sq: float, tr_zrz_rho: float, theta: float) -> float:
-    """One-encoded-site closed form from the probe's purity terms.
-
-    Exact when the probe factorizes between the encoded site and the rest.
-    """
-    t = tr_rho_sq - tr_zrz_rho
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return 4.0 * c * c * t / (2.0 - s * s * t)
-
-
 def qfi_m_site_closed(pair: EncodedPair, _ignored=None, /) -> float:
     """Restricted sum over encoded-site masks only, prefactor 1/2^m.
 
@@ -178,12 +167,6 @@ def qfi_ghz_closed(n: int, theta):
     s = np.sin(n * theta) ** 2
     c = np.cos(n * theta) ** 2
     return 2.0 * n * n * (1.0 - s / (c + 2.0 ** (n - 1)))
-
-
-def qfi_gui_ghz_closed(n: int, theta: float) -> float:
-    """Globally twirled GHZ closed form: 4 n^2 cos^2(n t) / (1 + cos^2(n t))."""
-    c = math.cos(n * theta) ** 2
-    return 4.0 * n * n * c / (1.0 + c)
 
 
 def qfi_gui_re(pair: EncodedPair, _ignored=None, /) -> float:

@@ -90,11 +90,6 @@ def cfi_grm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
     return ds * ds / (dn + (dn - 1.0) * s - s * s)
 
 
-def cfi_grm(pair: EncodedPair) -> float:
-    s, ds = global_overlap_series(pair)[:2]
-    return cfi_grm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
-
-
 # -- global swap test
 
 

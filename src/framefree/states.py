@@ -89,9 +89,6 @@ class HamiltonianSpec:
             raise ValueError("not a Pauli-Z sum")
         return self._z_diag
 
-    def dense_matrix(self) -> np.ndarray:
-        return np.diag(self.z_diagonal().astype(complex)) if self.is_z_sum else self.matrix
-
     def apply(self, vecs: np.ndarray) -> np.ndarray:
         """The generator applied along the last axis of `vecs`; Z sums act
         as a diagonal multiply."""

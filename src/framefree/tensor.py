@@ -42,13 +42,6 @@ def dim_cap() -> int:
     return cap
 
 
-def hamming(mask: int) -> int:
-    """Number of selected sites in a bit-mask."""
-    if mask < 0:
-        raise ValueError("bit-masks are non-negative integers")
-    return mask.bit_count()
-
-
 @functools.cache
 def popcounts(n_bits: int) -> np.ndarray:
     """Number of set bits of every mask below 2^n_bits, indexed by mask.
@@ -195,42 +188,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 def local_unitary(site_ops) -> np.ndarray:
     """Tensor product of per-site operators with site 0 least significant."""
     return kron(*reversed(list(site_ops)))
-
-
-def ptrace_matrix(mat: np.ndarray, local_dim: int, n_slots: int, keep: int) -> np.ndarray:
-    """Partial trace of a raw square matrix, keeping the slots in `keep`.
-
-    Kept slots stay in canonical order (lowest kept slot least significant).
-    """
-    if keep <= 0:
-        raise ValueError("keep mask must select at least one slot")
-    if keep >= (1 << n_slots):
-        raise ValueError(f"keep mask {keep:#x} addresses slots beyond {n_slots}")
-    if keep == (1 << n_slots) - 1:
-        return np.asarray(mat, dtype=complex).copy()
-    d = local_dim
-    t = np.asarray(mat, dtype=complex).reshape((d,) * (2 * n_slots))
-    # tensor axis j is slot n_slots-1-j for rows, and n_slots+j for columns
-    row_ids = list(range(n_slots))
-    col_ids = list(range(n_slots, 2 * n_slots))
-    for slot in range(n_slots):
-        if not (keep >> slot) & 1:
-            axis = n_slots - 1 - slot
-            col_ids[axis] = row_ids[axis]
-    kept_desc = [s for s in range(n_slots - 1, -1, -1) if (keep >> s) & 1]
-    out_ids = [row_ids[n_slots - 1 - s] for s in kept_desc]
-    out_ids += [col_ids[n_slots - 1 - s] for s in kept_desc]
-    reduced = np.einsum(t, row_ids + col_ids, out_ids)
-    dk = d ** len(kept_desc)
-    return reduced.reshape(dk, dk)
-
-
-def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
-    """Reduce a density operator onto the slots selected by the `keep` mask."""
-    lay = rho.layout
-    mat = ptrace_matrix(rho.matrix, lay.local_dim, lay.n_slots, keep)
-    out_layout = QuditLayout(hamming(keep), lay.local_dim, 1)
-    return DensityOperator(out_layout, mat)
 
 
 def swap_permutation(site_mask: int, layout: QuditLayout) -> np.ndarray:

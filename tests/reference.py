@@ -1,0 +1,114 @@
+"""Reference implementations that only the tests read.
+
+Each one is an independent route to a number the package computes another
+way (partial traces, dense generators, closed forms) or the plain loop that
+a faster kernel must reproduce (the full-eigensolve invariance oracles).
+"""
+
+import math
+
+import numpy as np
+
+from framefree.fisher import lui_spectrum
+from framefree.measure import cfi_grm_from_overlap
+from framefree.tensor import DensityOperator, QuditLayout, haar_unitary
+from framefree.twirl import g_twirl_apply, global_overlap_series
+from framefree.verify import LUI_CHECK_ATOL, LUI_SPECTRUM_ATOL, trace_distance
+
+
+def hamming(mask: int) -> int:
+    """Number of selected sites in a bit-mask."""
+    if mask < 0:
+        raise ValueError("bit-masks are non-negative integers")
+    return mask.bit_count()
+
+
+def ptrace_matrix(mat: np.ndarray, local_dim: int, n_slots: int, keep: int) -> np.ndarray:
+    """Partial trace of a raw square matrix, keeping the slots in `keep`.
+
+    Kept slots stay in canonical order (lowest kept slot least significant).
+    """
+    if keep <= 0:
+        raise ValueError("keep mask must select at least one slot")
+    if keep >= (1 << n_slots):
+        raise ValueError(f"keep mask {keep:#x} addresses slots beyond {n_slots}")
+    if keep == (1 << n_slots) - 1:
+        return np.asarray(mat, dtype=complex).copy()
+    d = local_dim
+    t = np.asarray(mat, dtype=complex).reshape((d,) * (2 * n_slots))
+    # tensor axis j is slot n_slots-1-j for rows, and n_slots+j for columns
+    row_ids = list(range(n_slots))
+    col_ids = list(range(n_slots, 2 * n_slots))
+    for slot in range(n_slots):
+        if not (keep >> slot) & 1:
+            axis = n_slots - 1 - slot
+            col_ids[axis] = row_ids[axis]
+    kept_desc = [s for s in range(n_slots - 1, -1, -1) if (keep >> s) & 1]
+    out_ids = [row_ids[n_slots - 1 - s] for s in kept_desc]
+    out_ids += [col_ids[n_slots - 1 - s] for s in kept_desc]
+    reduced = np.einsum(t, row_ids + col_ids, out_ids)
+    dk = d ** len(kept_desc)
+    return reduced.reshape(dk, dk)
+
+
+def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
+    """Reduce a density operator onto the slots selected by the `keep` mask."""
+    lay = rho.layout
+    mat = ptrace_matrix(rho.matrix, lay.local_dim, lay.n_slots, keep)
+    out_layout = QuditLayout(hamming(keep), lay.local_dim, 1)
+    return DensityOperator(out_layout, mat)
+
+
+def dense_matrix(h) -> np.ndarray:
+    """Dense matrix of a `HamiltonianSpec`."""
+    return np.diag(h.z_diagonal().astype(complex)) if h.is_z_sum else h.matrix
+
+
+def qfi_one_site_closed(tr_rho_sq: float, tr_zrz_rho: float, theta: float) -> float:
+    """One-encoded-site closed form from the probe's purity terms.
+
+    Exact when the probe factorizes between the encoded site and the rest.
+    """
+    t = tr_rho_sq - tr_zrz_rho
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return 4.0 * c * c * t / (2.0 - s * s * t)
+
+
+def qfi_gui_ghz_closed(n: int, theta: float) -> float:
+    """Globally twirled GHZ closed form: 4 n^2 cos^2(n t) / (1 + cos^2(n t))."""
+    c = math.cos(n * theta) ** 2
+    return 4.0 * n * n * c / (1.0 + c)
+
+
+def cfi_grm(pair) -> float:
+    """Information of the globally randomized computational-basis readout."""
+    s, ds = global_overlap_series(pair)[:2]
+    return cfi_grm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
+
+
+def exact_rotation_distance(rho: DensityOperator, trials: int, rng: np.random.Generator,
+                            identical_sites: bool = False) -> list:
+    """Per-trial trace distances of the rotation oracle, each by the full
+    eigensolve of `trace_distance`, drawing rotations as `rotation_distance`
+    does."""
+    lay = rho.layout
+    out = []
+    for _ in range(trials):
+        if identical_sites:
+            rotations = [haar_unitary(lay.local_dim, rng)] * lay.n_sites
+        else:
+            rotations = [haar_unitary(lay.local_dim, rng) for _ in range(lay.n_sites)]
+        out.append(trace_distance(g_twirl_apply(rho, rotations), rho))
+    return out
+
+
+def exact_eigen_checks(mat: np.ndarray, lui) -> dict:
+    """The eigenvalue checks of `lui_state_checks` on the full eigensolve of
+    the dense matrix `mat` of `lui`."""
+    eigvals = np.linalg.eigvalsh(mat)
+    predicted = np.sort(np.repeat(*lui_spectrum(lui)))
+    return {
+        "positive": bool(eigvals[0] >= -LUI_CHECK_ATOL),
+        "spectrum_consistent": bool(np.max(np.abs(eigvals - predicted)) <= LUI_SPECTRUM_ATOL),
+    }

@@ -14,7 +14,6 @@ from framefree.fisher import (
     lui_spectrum,
     qfi_from_spectrum,
     qfi_ghz_closed,
-    qfi_gui_ghz_closed,
     qfi_gui_re,
     qfi_ie_general,
     qfi_product_closed,
@@ -40,6 +39,8 @@ from framefree.twirl import (
     swap_overlaps,
 )
 from framefree.verify import CommutantQuery, commutant_dimension, invariance_suite, trace_distance
+
+from reference import qfi_gui_ghz_closed
 
 SEED = 0xC0FFEE
 

@@ -6,9 +6,11 @@ import pytest
 
 from framefree import measure
 from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_estimate, run_verify
-from framefree.fisher import qfi_ghz_closed, qfi_gui_ghz_closed, qfi_product_closed
+from framefree.fisher import qfi_ghz_closed, qfi_product_closed
 from framefree.tensor import popcounts
 from framefree.twirl import closed_overlaps
+
+from reference import qfi_gui_ghz_closed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

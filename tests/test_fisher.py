@@ -10,11 +10,9 @@ from framefree.fisher import (
     lui_spectrum,
     qfi_from_spectrum,
     qfi_ghz_closed,
-    qfi_gui_ghz_closed,
     qfi_gui_re,
     qfi_ie_general,
     qfi_m_site_closed,
-    qfi_one_site_closed,
     qfi_product_closed,
     qfi_re_general,
 )
@@ -24,7 +22,6 @@ from framefree.tensor import (
     WALSH_KERNEL,
     QuditLayout,
     StateVector,
-    hamming,
     local_unitary,
     popcounts,
     subset_transform,
@@ -39,6 +36,7 @@ from framefree.twirl import (
     swap_overlaps,
 )
 
+from reference import hamming, qfi_gui_ghz_closed, qfi_one_site_closed
 from conftest import random_hermitian, random_state
 
 Z = np.diag([1.0 + 0j, -1.0])

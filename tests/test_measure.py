@@ -10,7 +10,6 @@ from framefree.fisher import (
     fisher_from_weight_classes,
     qfi_from_spectrum,
     qfi_ghz_closed,
-    qfi_gui_ghz_closed,
     qfi_re_general,
 )
 from framefree.measure import (
@@ -20,7 +19,6 @@ from framefree.measure import (
     OutcomeDistribution,
     _golden_max,
     cfi,
-    cfi_grm,
     cfi_grm_from_overlap,
     cfi_gst,
     cfi_gst_from_overlap,
@@ -49,6 +47,7 @@ from framefree.twirl import (
     swap_overlaps,
 )
 
+from reference import cfi_grm, qfi_gui_ghz_closed
 from conftest import random_hermitian, random_state
 
 

@@ -8,18 +8,16 @@ from framefree.tensor import (
     StateVector,
     dim_cap,
     haar_unitary,
-    hamming,
     hermitian_eig,
     kron,
     local_unitary,
-    partial_trace,
     popcounts,
-    ptrace_matrix,
     subset_transform,
     swap_operator,
     trace_product,
 )
 
+from reference import hamming, partial_trace, ptrace_matrix
 from conftest import random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)

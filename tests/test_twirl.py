@@ -10,11 +10,8 @@ from framefree.tensor import (
     QuditLayout,
     StateVector,
     haar_unitary,
-    hamming,
     local_unitary,
-    partial_trace,
     popcounts,
-    ptrace_matrix,
     subset_transform,
     swap_operator,
     trace_product,
@@ -39,6 +36,7 @@ from framefree.twirl import (
 )
 from framefree.verify import lui_state_checks
 
+from reference import dense_matrix, hamming, partial_trace, ptrace_matrix
 from conftest import random_hermitian, random_state
 
 
@@ -90,7 +88,7 @@ def density_route(pair):
     single-copy densities and their commutator derivatives."""
     lay = pair.layout
     n, d = lay.n_sites, lay.local_dim
-    h = pair.hamiltonian.dense_matrix()
+    h = dense_matrix(pair.hamiltonian)
     rho_p = pair.psi_plus.density().matrix
     rho_m = pair.psi_minus.density().matrix
     sign = 1.0 if pair.mode == IE else -1.0

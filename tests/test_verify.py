@@ -3,9 +3,21 @@ import pytest
 
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree import verify
+from framefree.fisher import lui_spectrum
 from framefree.tensor import DensityOperator, QuditLayout, StateVector
-from framefree.twirl import LuiState, gui_density, gui_state, lui_coefficients, lui_density
+from framefree.twirl import (
+    LuiState,
+    _lui_matrix,
+    ghz_lui,
+    gui_density,
+    gui_state,
+    lui_coefficients,
+    lui_density,
+    pair_product_density,
+    product_lui,
+)
 from framefree.verify import (
+    BLOCK_SLACK,
     GLOBAL,
     CommutantQuery,
     commutant_dimension,
@@ -17,11 +29,48 @@ from framefree.verify import (
     untwirled_moves,
 )
 
+from reference import exact_eigen_checks, exact_rotation_distance
 from conftest import random_hermitian, random_state
 
 
 def ghz_pair(n, theta, mode=RE):
     return make_pair(ghz_state(n), HamiltonianSpec.pauli_z_sum(n), theta, mode)
+
+
+def random_lui(n, d, rng):
+    lay = QuditLayout(n, d, 1)
+    amps = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+    psi = StateVector(lay, amps / np.linalg.norm(amps))
+    h = HamiltonianSpec.dense(lay, random_hermitian(lay.dim, rng))
+    return lui_coefficients(make_pair(psi, h, 0.4, RE))
+
+
+INVARIANT_LABELS = ("ghz2", "ghz3", "ghz4", "ghz5", "product4", "random3", "qutrit2", "qutrit3")
+
+
+def invariant_state(label):
+    """Twirled states of every probe kind, up to dimension 1024."""
+    if label.startswith("ghz"):
+        n = int(label[3:])
+        return ghz_lui(n, 0.2 + 0.3 * n)
+    if label == "product4":
+        return product_lui(4, 0.7)
+    n, d = {"random3": (3, 2), "qutrit2": (2, 3), "qutrit3": (3, 3)}[label]
+    return random_lui(n, d, np.random.default_rng([83, n, d]))
+
+
+@pytest.fixture
+def eigensolve_sizes(monkeypatch):
+    """Dimensions of every `np.linalg.eigvalsh` input, in call order."""
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def record(a, *args, **kwargs):
+        sizes.append(len(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return sizes
 
 
 class TestCommutant:
@@ -164,10 +213,105 @@ class TestRealInput:
                           rtol=0, atol=1e-14)
 
 
+class TestSectorBracket:
+    """Distances from the swap-sector blocks: never below the full
+    eigensolve's and within BLOCK_SLACK of it, trial by trial."""
+
+    @pytest.mark.parametrize("label", INVARIANT_LABELS)
+    def test_invariant_states(self, label, eigensolve_sizes):
+        dense = lui_density(invariant_state(label))
+        trials = 2 if dense.layout.dim > 256 else 5
+        exact = exact_rotation_distance(dense, trials, np.random.default_rng(7))
+        eigensolve_sizes.clear()
+        rng = np.random.default_rng(7)
+        got = [rotation_distance(dense, 1, rng) for _ in range(trials)]
+        assert max(eigensolve_sizes) < dense.layout.dim
+        for g, e in zip(got, exact):
+            assert e <= g <= e + BLOCK_SLACK
+
+    def test_gui_state_under_identical_rotations(self, eigensolve_sizes):
+        dense = gui_density(gui_state(ghz_pair(2, 0.3)))
+        exact = exact_rotation_distance(dense, 20, np.random.default_rng(19), True)
+        eigensolve_sizes.clear()
+        rng = np.random.default_rng(19)
+        got = [rotation_distance(dense, 1, rng, identical_sites=True) for _ in range(20)]
+        assert max(eigensolve_sizes) < dense.layout.dim
+        for g, e in zip(got, exact):
+            assert e <= g <= e + BLOCK_SLACK
+
+    def test_off_block_perturbation_falls_back(self, eigensolve_sizes):
+        lay2 = QuditLayout(3, 2, 2)
+        mixed = (lui_density(ghz_lui(3, 0.4)).matrix + np.eye(lay2.dim) / lay2.dim) / 2
+        # |0...0> is symmetric on every site pair, basis state 1 half
+        # antisymmetric on site 0: the bump couples two sectors
+        bump = np.zeros_like(mixed)
+        bump[0, 1] = bump[1, 0] = 1e-9
+        rho = DensityOperator(lay2, mixed + bump)
+        got = rotation_distance(rho, 5, np.random.default_rng(3))
+        assert eigensolve_sizes.count(lay2.dim) == 5
+        assert got == max(exact_rotation_distance(rho, 5, np.random.default_rng(3)))
+
+    def test_untwirled_products_take_full_eigensolves(self):
+        pair = ghz_pair(2, 0.3)
+        raw = pair_product_density(pair)
+        assert untwirled_moves(pair, 20, seed=23) == max(
+            exact_rotation_distance(raw, 20, np.random.default_rng(23)))
+        assert rotation_distance(raw, 10, np.random.default_rng(5)) == max(
+            exact_rotation_distance(raw, 10, np.random.default_rng(5)))
+
+
+def pushed(lui, target):
+    """Coefficients whose lowest eigenvalue is moved to `target`, keeping
+    the trace: the difference goes to the full-mask eigenvalue."""
+    kernel = np.stack([lui_spectrum(LuiState(lui.layout, e))[0]
+                       for e in np.eye(lui.coeffs.size)], axis=1)
+    vals, deg = lui_spectrum(lui)
+    low = int(np.argmin(vals))
+    shift = np.zeros_like(vals)
+    shift[low] = target - vals[low]
+    shift[-1] -= shift[low] * deg[low] / deg[-1]
+    return LuiState(lui.layout, np.linalg.solve(kernel, vals + shift))
+
+
 class TestValidityChecks:
     def test_honest_state_passes(self):
         checks = lui_state_checks(lui_coefficients(ghz_pair(2, 0.5)))
         assert all(checks.values())
+
+    def test_honest_states_pass_on_blocks(self, eigensolve_sizes):
+        for label in INVARIANT_LABELS:
+            lui = invariant_state(label)
+            eigensolve_sizes.clear()
+            assert all(lui_state_checks(lui).values()), label
+            assert max(eigensolve_sizes) < lui.layout.two_copy().dim, label
+
+    def test_negative_eigenvalue_flagged_on_blocks(self, eigensolve_sizes):
+        bad = pushed(ghz_lui(3, 0.5), -1e-8)
+        checks = lui_state_checks(bad)
+        assert not checks["positive"]
+        assert checks["spectrum_consistent"]
+        assert max(eigensolve_sizes) < 64
+
+    def test_moved_spectrum_flagged_on_blocks(self, eigensolve_sizes, monkeypatch):
+        lui = ghz_lui(3, 0.5)
+        vals, deg = lui_spectrum(lui)
+        moved = vals + 1e-8 * (np.arange(vals.size) == 3)
+        monkeypatch.setattr(verify, "lui_spectrum", lambda state: (moved, deg))
+        checks = lui_state_checks(lui)
+        assert not checks["spectrum_consistent"]
+        assert checks["positive"]
+        assert max(eigensolve_sizes) < 64
+
+    def test_off_block_content_falls_back(self, eigensolve_sizes, monkeypatch):
+        lui = pushed(ghz_lui(2, 0.3), 0.0)
+        bump = np.zeros((16, 16))
+        bump[0, 1] = bump[1, 0] = 1e-9
+        mat = _lui_matrix(lui) + bump
+        monkeypatch.setattr(verify, "_lui_matrix", lambda state: mat)
+        checks = lui_state_checks(lui)
+        assert 16 in eigensolve_sizes
+        assert {k: checks[k] for k in ("positive", "spectrum_consistent")} == \
+            exact_eigen_checks(mat, lui)
 
     def test_tampered_coefficients_fail(self):
         lui = lui_coefficients(ghz_pair(2, 0.5))
