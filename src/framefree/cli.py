@@ -26,7 +26,7 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_SCAN_SITES = 64  # the range the closed-form scan columns are tested on
 SCAN_STRATEGIES = ("qfi_re", "qfi_ie", "qfi_gui", "f0",
                    "cfi_dm", "cfi_grm", "cfi_gst", "cfi_lst", "cfi_lbm")
-ESTIMATE_READOUTS = ("lbm", "dm", "gst")  # run_estimate calls measure.probs_<name>
+ESTIMATE_READOUTS = ("lbm", "dm", "gst")
 
 
 # -- closed-form scan columns
@@ -37,14 +37,15 @@ _READOUT_COLUMNS = {"qfi_gui": "gst", "cfi_gst": "gst", "cfi_dm": "dm", "cfi_lst
                     "cfi_lbm": "lbm"}
 
 
-def _closed_cfi(readout: str, probe: str, n: int, theta):
-    """Information of a readout of a closed probe, elementwise over angles: the
-    global swap test from s and its stable 1 - s, the others by weight class."""
+def _closed_families(readout: str, probe: str, n: int, theta, order: int = 2):
+    """Weight-class families of a readout of a closed probe, elementwise over
+    angles: the N + 1 classes of its kernel, or the global swap test's two
+    classes from s and its stable 1 - s."""
     if readout == "gst":
-        s, ds, dds = twirl.closed_overlaps(probe, n, theta)[..., n]
-        return measure.cfi_gst_from_overlap(s, twirl.closed_gap(probe, n, theta), ds, dds)
+        return measure.gst_families(twirl.closed_overlaps(probe, n, theta, order)[..., n],
+                                    twirl.closed_gap(probe, n, theta))
     kernel = measure.readout_kernel(readout, 2)
-    return fisher.fisher_from_weight_classes(twirl.closed_families(probe, n, theta, kernel))
+    return twirl.closed_families(probe, n, theta, kernel, order)
 
 
 def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
@@ -65,18 +66,25 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
             s, ds = twirl.closed_overlaps(probe, n, grid, 1)[..., n]
             columns[strategy] = measure.cfi_grm_from_overlap(s, ds, n)
         elif strategy in _READOUT_COLUMNS:
-            columns[strategy] = _closed_cfi(_READOUT_COLUMNS[strategy], probe, n, grid)
+            families = _closed_families(_READOUT_COLUMNS[strategy], probe, n, grid)
+            columns[strategy] = fisher.fisher_from_weight_classes(families)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
     return columns
 
 
-def run_scan(cfg: dict) -> dict:
+def _closed_probe(cfg: dict) -> tuple:
+    """The probe and site count of `scan` and `estimate`."""
     probe, n = cfg["probe"], int(cfg["sites"])
     if probe not in PROBES:
         raise ValueError(f"probe must be one of {PROBES}")
     if not 1 <= n <= MAX_SCAN_SITES:
         raise ValueError(f"sites must be between 1 and {MAX_SCAN_SITES}")
+    return probe, n
+
+
+def run_scan(cfg: dict) -> dict:
+    probe, n = _closed_probe(cfg)
     points = int(cfg["theta_points"])
     if points < 2:
         raise ValueError("theta_points must be at least 2")
@@ -238,28 +246,26 @@ def run_verify(suite: str, seed: int) -> dict:
 
 
 def run_estimate(cfg: dict) -> dict:
-    probe, n = cfg["probe"], int(cfg["sites"])
-    if probe not in PROBES:
-        raise ValueError(f"probe must be one of {PROBES}")
+    probe, n = _closed_probe(cfg)
     strategy = cfg["strategy"]
     shots = int(cfg["shots"])
     reps = int(cfg["reps"])
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
     true_theta = float(cfg["true_theta"])
     if strategy not in ESTIMATE_READOUTS:  # a tuple also turns away unhashable values
         raise ValueError(f"estimate strategy must be one of {ESTIMATE_READOUTS}")
-    # looked up per call, so a wrapper installed on the module is the one called
-    readout = getattr(measure, f"probs_{strategy}")
 
     def model(t: np.ndarray) -> measure.OutcomeDistribution:
-        return readout(twirl.closed_lui(probe, n, t))
+        return measure.weight_class_distribution(_closed_families(strategy, probe, n, t, 0)[0])
 
-    information = float(_closed_cfi(strategy, probe, n, true_theta))
+    information = float(fisher.fisher_from_weight_classes(
+        _closed_families(strategy, probe, n, true_theta)))
+    # the GHZ outcomes depend on theta through cos^2(N theta), so they fix it
+    # only within one of N cells of the quadrant; the product probe's fill it
+    window = measure.default_window(true_theta, n if probe == "ghz" else 1)
     run = measure.estimation_experiment(model, true_theta, information, shots, reps,
-                                        int(cfg["seed"]))
+                                        int(cfg["seed"]), window)
     return {
         "probe": probe,
         "sites": n,
@@ -269,9 +275,11 @@ def run_estimate(cfg: dict) -> dict:
         "repetitions": reps,
         "seed": int(cfg["seed"]),
         "estimate_mean": run.estimate,
+        "bias": run.estimate - true_theta,
         "variance": run.variance,
         "crb": run.crb,
         "variance_over_crb": run.variance / run.crb,
+        "mse_over_crb": run.mse / run.crb,
         "boundary_hits": run.boundary_hits,
     }
 

@@ -9,13 +9,14 @@ cover the GHZ and product probes and one-site / m-site encodings on probes
 that factorize between encoded and unencoded sites.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .states import IE, RE, EncodedPair
 from .tensor import SWAP_TEST_KERNEL, popcounts, subset_transform
-from .twirl import LuiState, swap_overlaps
+from .twirl import LuiState, global_overlap_series, swap_overlaps
 
 SUM_ROUNDING = 8.0  # rounding scale of a class sum, in eps times the size of its terms
 _MODE_NAMES = {RE: "reversed", IE: "identical"}
@@ -84,13 +85,20 @@ def fisher_from_coefficients(coeffs, dcoeffs, second_dcoeffs, kernel=SWAP_TEST_K
     return float(information_sum(size * p, size * dp, size * ddp, mult, size * r))
 
 
+@functools.cache
+def weight_multiplicities(n: int) -> np.ndarray:
+    """C(n, w), the number of masks of weight w = 0..n; shared, so read-only."""
+    mult = np.array([math.comb(n, w) for w in range(n + 1)], dtype=float)
+    mult.flags.writeable = False
+    return mult
+
+
 def fisher_from_weight_classes(families) -> np.ndarray:
     """Information from `twirl.closed_families` (mask weight w, multiplicity
     C(N, w)), elementwise over the leading axes.  Each den_w is a sum of
     non-negative terms: r_w = SUM_ROUNDING * eps * den_w, only exact zeros."""
     den, num, sec = families
-    n = den.shape[-1] - 1
-    mult = np.array([math.comb(n, w) for w in range(n + 1)], dtype=float)
+    mult = weight_multiplicities(den.shape[-1] - 1)
     return information_sum(den, num, sec, mult, SUM_ROUNDING * np.finfo(float).eps * den)
 
 
@@ -171,9 +179,11 @@ def qfi_ghz_closed(n: int, theta):
 
 def qfi_gui_re(pair: EncodedPair, _ignored=None, /) -> float:
     """Information of the globally twirled reversed-encoding state:
-    (ds)^2 / (1 - s^2), the global swap test's information."""
-    from .measure import cfi_gst  # measure builds on this module
+    (ds)^2 / (1 - s^2), the global swap test's information; at a stationary
+    point the class 1 - s takes its limit."""
+    from .measure import gst_families  # measure builds on this module
 
     if pair.mode != RE:
         raise ValueError("qfi_gui_re expects reversed-encoding pairs")
-    return cfi_gst(pair)
+    s, ds, dds, gap = global_overlap_series(pair)
+    return float(fisher_from_weight_classes(gst_families([s, ds, dds], gap)))

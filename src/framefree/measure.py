@@ -2,8 +2,8 @@
 
 Outcome sets are grouped into classes of equal probability (a per-site
 coincidence pattern for computational-basis readout, an antisymmetric-site
-mask for swap tests and Bell readout); grouping preserves the information
-because probabilities inside a class coincide.
+mask or its weight for swap tests and Bell readout); grouping preserves the
+information because probabilities inside a class coincide.
 """
 
 import math
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import fisher_from_coefficients, fisher_from_weight_classes
-from .states import EncodedPair
-from .tensor import SWAP_TEST_KERNEL, subset_transform
-from .twirl import LuiState, global_overlap_series
+from .fisher import fisher_from_coefficients, weight_multiplicities
+from .tensor import SWAP_TEST_KERNEL
 
 PROB_ATOL = -1e-12
 PROB_SUM_ATOL = 1e-9
@@ -46,6 +44,7 @@ class OutcomeDistribution:
 class EstimationRun:
     estimate: float
     variance: float
+    mse: float
     crb: float
     boundary_hits: int
 
@@ -67,19 +66,17 @@ def cfi(readout: str, series, local_dim: int) -> float:
     twirled state from its overlap rows c, c', c'' (shape (3, 2^N), exact
     derivatives) on sites of dimension `local_dim`: the readout's kernel on
     each row, through the one information sum.  The global swap test reads
-    the full-mask overlap alone: `cfi_gst_from_overlap`."""
+    the full-mask overlap alone: `gst_families`."""
     return fisher_from_coefficients(*np.asarray(series, dtype=float),
                                     kernel=readout_kernel(readout, local_dim))
 
 
-# -- computational-basis readout (per-site coincidence classes)
-
-
-def probs_dm(lui: LuiState) -> OutcomeDistribution:
-    """Both-copy computational-basis readout after the local twirl, grouped
-    by the mask of sites whose two copies coincide."""
-    kernel = readout_kernel(DM, lui.layout.local_dim)
-    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
+def weight_class_distribution(den) -> OutcomeDistribution:
+    """The K weight classes on the last axis from their den (order 0 of
+    `twirl.closed_families` or `gst_families`): class w holds C(K - 1, w)
+    equally likely outcomes, den_w / 2^(K - 1) each."""
+    k = np.shape(den)[-1] - 1
+    return OutcomeDistribution(weight_multiplicities(k) * den / 2.0 ** k)
 
 
 # -- globally randomized computational-basis readout
@@ -93,47 +90,16 @@ def cfi_grm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
 # -- global swap test
 
 
-def probs_gst(lui: LuiState) -> OutcomeDistribution:
-    """Ancilla readout of the global swap test: p_+/- = (1 +/- <S>)/2, with
-    <S> the full-mask overlap.  The full swap commutes with collective
-    rotations, so the local twirl keeps <S>."""
-    s = lui.coeffs[..., -1]
-    return OutcomeDistribution(np.stack([(1 + s) / 2, (1 - s) / 2], axis=-1))
-
-
-def cfi_gst_from_overlap(s, gap, ds, dds):
-    """(ds)^2 / (1 - s^2) as the information of the two ancilla classes
-    (1 +/- s)/2: the weight classes of one site, with gap = 1 - s formed
-    without cancellation, as `twirl.closed_gap` and
-    `twirl.global_overlap_series` give it, so both class sums are sums of
-    non-negative terms.  At a stationary point the class 1 - s takes its
-    limit from dds.  Elementwise over arrays of angles; a scalar for scalar
-    input."""
-    s, gap, ds, dds = (np.asarray(x, dtype=float) for x in (s, gap, ds, dds))
-    # rows den, num, sec of the classes 1 + s and 1 - s on the last axis
-    families = np.stack([[1.0 + s, ds, dds], [gap, -ds, -dds]], axis=-1)
-    return fisher_from_weight_classes(families)[()]
-
-
-def cfi_gst(pair: EncodedPair) -> float:
-    s, ds, dds, gap = global_overlap_series(pair)
-    return float(cfi_gst_from_overlap(s, gap, ds, dds))
-
-
-# -- local swap test and local Bell readout
-
-
-def probs_lst(lui: LuiState) -> OutcomeDistribution:
-    """Per-site ancilla bitstring probabilities of the local swap test,
-    grouped by the mask of antisymmetric sites."""
-    return OutcomeDistribution(subset_transform(lui.coeffs, SWAP_TEST_KERNEL))
-
-
-def probs_lbm(lui: LuiState) -> OutcomeDistribution:
-    """Per-site Bell readout (qubits): patterns grouped by the mask of sites
-    that landed in the singlet, triplet choices folded into the class."""
-    kernel = readout_kernel(LBM, lui.layout.local_dim)
-    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
+def gst_families(series, gap) -> np.ndarray:
+    """Rows den, num, sec (as many as `series` holds of s, s', s'') of the
+    global swap test's classes 1 + s and 1 - s on the last axis, the weight
+    classes of one site; gap = 1 - s as `twirl.closed_gap` and
+    `twirl.global_overlap_series` form it, so no den cancels."""
+    plus = np.array(series, dtype=float)
+    minus = -plus
+    plus[0] += 1.0
+    minus[0] = gap
+    return np.stack([plus, minus], axis=-1)
 
 
 # -- sampling and estimation
@@ -190,12 +156,14 @@ def mle_estimate(counts: np.ndarray, model, window: tuple, tol: float = 1e-7):
     return est[()], at_boundary[()]
 
 
-def default_window(true_theta: float) -> tuple:
-    """Local search window around the working point, clamped inside (0, pi/2)
-    to dodge the +/-theta likelihood symmetry at the origin."""
-    lo = max(true_theta - 0.5, 1e-6)
-    hi = min(true_theta + 0.5, math.pi / 2 - 1e-6)
-    return lo, hi
+def default_window(true_theta: float, cells: int = 1) -> tuple:
+    """Local search window around the working point, inside the one of
+    `cells` equal cells of (0, pi/2) that holds it (the nearest for an angle
+    outside), inset from the cell's edges to dodge the likelihood's mirror
+    symmetry there, +/-theta at the origin."""
+    width = math.pi / (2 * cells)
+    k = min(max(math.floor(true_theta / width), 0), cells - 1)
+    return max(true_theta - 0.5, k * width + 1e-6), min(true_theta + 0.5, (k + 1) * width - 1e-6)
 
 
 def estimation_experiment(model, true_theta: float, information: float, shots: int,
@@ -205,9 +173,9 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
 
     `model` is elementwise over an array of angles.  Repetitions use
     independently derived streams and are estimated together, in blocks of
-    at most 2^20 counts; the empirical variance of the estimates is compared
-    to 1/(shots * F), with F = `information` the model's information at the
-    true angle (`cfi` on the same overlaps).
+    at most 2^20 counts; the empirical variance and mean squared error of
+    the estimates are compared to 1/(shots * F), with F = `information` the
+    model's information at the true angle (from the same class sums).
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions to estimate a variance")
@@ -228,6 +196,7 @@ def estimation_experiment(model, true_theta: float, information: float, shots: i
     return EstimationRun(
         estimate=float(estimates.mean()),
         variance=float(estimates.var(ddof=1)),
+        mse=float(np.mean((estimates - true_theta) ** 2)),
         crb=crb,
         boundary_hits=int(flagged.sum()),
     )

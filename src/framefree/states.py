@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import QuditLayout, StateVector, hermitian_eig
+from .tensor import HERMITIAN_ATOL, QuditLayout, StateVector, check_hermitian, hermitian_eig
 
 IE = "ie"
 RE = "re"
@@ -59,9 +59,7 @@ class HamiltonianSpec:
             dim = self.layout.dim
             if mat.shape != (dim, dim):
                 raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-            herm_err = np.max(np.abs(mat - mat.conj().T))
-            if not herm_err <= 1e-12 * max(1.0, np.max(np.abs(mat))):  # NaN fails
-                raise ValueError("matrix is not Hermitian")
+            check_hermitian(mat, HERMITIAN_ATOL)
             self.matrix = mat
             if self.support == 0:
                 self.support = (1 << self.layout.n_sites) - 1

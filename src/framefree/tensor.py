@@ -114,6 +114,14 @@ class QuditLayout:
         return QuditLayout(self.n_sites, self.local_dim, 2)
 
 
+def check_hermitian(mat: np.ndarray, atol: float) -> None:
+    """Raise unless `mat` is Hermitian within atol * max(1, max|entry|); a NaN
+    entry fails.  conj() of a real matrix is the matrix itself, not a copy."""
+    herm_err = np.max(np.abs(mat - mat.conj().T))
+    if not herm_err <= atol * max(1.0, np.max(np.abs(mat))):
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err})")
+
+
 @dataclass(eq=False)
 class StateVector:
     """Pure state on the full register; unit norm enforced at construction."""
@@ -152,11 +160,8 @@ class DensityOperator:
         dim = self.layout.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        # every test is written so that a NaN entry fails it; conj() of a
-        # real matrix is the matrix itself, not a copy
-        herm_err = np.max(np.abs(mat - mat.conj().T))
-        if not herm_err <= HERMITIAN_ATOL * max(1.0, np.max(np.abs(mat))):
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err})")
+        # every test is written so that a NaN entry fails it
+        check_hermitian(mat, HERMITIAN_ATOL)
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
@@ -257,11 +262,8 @@ def hermitian_eig(op, atol: float = 1e-10):
     the slack of the other post-arithmetic checks (TRACE_ATOL, PSD_ATOL,
     UNITARY_ATOL)."""
     mat = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
-    herm_err = np.max(np.abs(mat - mat.conj().T))
-    if not herm_err <= atol * max(1.0, np.max(np.abs(mat))):  # NaN fails
-        raise ValueError(f"input is not Hermitian (max deviation {herm_err})")
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
+    check_hermitian(mat, atol)
+    return np.linalg.eigh(mat)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -9,6 +9,7 @@ states they describe, and provides Monte-Carlo twirling plus collective
 rotation as independent oracles.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,32 +173,52 @@ def closed_overlaps(probe: str, n: int, theta, order: int = 2) -> np.ndarray:
     return out
 
 
-def closed_families(probe: str, n: int, theta, kernel=SWAP_TEST_KERNEL) -> np.ndarray:
-    """Class sums den, num, sec of c, c', c'' by class weight w for the readout
-    with class probabilities K c, shape (3, *theta.shape, n + 1), scaled so that
-    sum_w C(n, w) den_w = 2^n.  Each den_w is a sum of non-negative terms, the
-    class sums of states (s = 0 and s = 1), so no class sum cancels.  Product
-    probe: den_w = a^(n - w) b^w, a = 2 K00 sin^2 + 2 (K00 + K01) cos^2 and b
-    the same from row 1, num and sec by the product rule.  GHZ, with
+@functools.cache
+def _kernel_powers(n: int, kernel: tuple) -> tuple:
+    """2K and its row sums for the flattened 2x2 `kernel`, the exponents
+    p = n - w and q = w of the class weights, and the GHZ families' A_w and
+    B_w: none depends on the angle, so they are built once per (n, kernel),
+    read-only."""
+    k2 = 2.0 * np.reshape(kernel, (2, 2))
+    q = np.arange(n + 1)
+    p, row_sums = n - q, k2.sum(axis=1)
+    b = k2[0, 1] ** p * k2[1, 1] ** q
+    a = 0.5 * (row_sums[0] ** p * row_sums[1] ** q + k2[0, 0] ** p * k2[1, 0] ** q - b)
+    for table in (k2, row_sums, p, q, a, b):
+        table.flags.writeable = False
+    return k2, row_sums, p, q, a, b
+
+
+def closed_families(probe: str, n: int, theta, kernel=SWAP_TEST_KERNEL,
+                    order: int = 2) -> np.ndarray:
+    """Class sums den, num, sec of c, c', c'' (the first `order` + 1) by class
+    weight w for the readout with class probabilities K c, shape
+    (order + 1, *theta.shape, n + 1), scaled so that sum_w C(n, w) den_w = 2^n.
+    Each den_w is a sum of non-negative terms, the class sums of states
+    (s = 0 and s = 1), so no class sum cancels.  Product probe:
+    den_w = a^(n - w) b^w, a = 2 K00 sin^2 + 2 (K00 + K01) cos^2 and b the
+    same from row 1, num and sec by the product rule.  GHZ, with
     c = (1 + delta_0) / 2 + (s - 1/2) delta_full: den_w = A_w sin^2(n theta) +
     (A_w + B_w) cos^2(n theta), num_w = B_w s', sec_w = B_w s'', where B_w is
     the column-1 product of 2K and 2 A_w = row-sum product + column-0 product - B_w."""
     if probe not in PROBES:
         raise ValueError(f"probe must be one of {PROBES}")
-    k2 = 2.0 * np.asarray(kernel, dtype=float)
     t = np.asarray(theta, dtype=float)[..., None]
     # below sqrt(tiny) sin^2 is subnormal; the families are those at 0
     t = np.where(np.abs(t) < np.sqrt(np.finfo(float).tiny), 0.0, t)
-    w = np.arange(n + 1)
-    p, q, row_sums = n - w, w, k2.sum(axis=1)
+    k2, row_sums, p, q, a, b = _kernel_powers(
+        n, tuple(np.asarray(kernel, dtype=float).ravel().tolist()))
     if probe == "ghz":
         nt = n * t
-        b = k2[0, 1] ** p * k2[1, 1] ** q
-        a = 0.5 * (row_sums[0] ** p * row_sums[1] ** q + k2[0, 0] ** p * k2[1, 0] ** q - b)
         den = a * np.sin(nt) ** 2 + (a + b) * np.cos(nt) ** 2
-        return np.stack([den, -n * np.sin(2.0 * nt) * b, -2.0 * n * n * np.cos(2.0 * nt) * b])
+        if order == 0:
+            return den[None]
+        return np.stack([den, -n * np.sin(2.0 * nt) * b,
+                         -2.0 * n * n * np.cos(2.0 * nt) * b])[:order + 1]
     sin2, cos2 = np.sin(t) ** 2, np.cos(t) ** 2
     a, b = (k2[i, 0] * sin2 + row_sums[i] * cos2 for i in (0, 1))
+    if order == 0:
+        return (a ** p * b ** q)[None]
     # a' = 2 K01 (cos^2)' and b' = 2 K11 (cos^2)', the same for the second derivative
     da, db = k2[:, 1]
     dx, ddx = -np.sin(2.0 * t), -2.0 * np.cos(2.0 * t)
@@ -209,7 +230,7 @@ def closed_families(probe: str, n: int, theta, kernel=SWAP_TEST_KERNEL) -> np.nd
     first = da * p * term(1, 0) + db * q * term(0, 1)
     second = (da * da * p * (p - 1) * term(2, 0) + 2 * da * db * p * q * term(1, 1)
               + db * db * q * (q - 1) * term(0, 2))
-    return np.stack([term(0, 0), dx * first, dx * dx * second + ddx * first])
+    return np.stack([term(0, 0), dx * first, dx * dx * second + ddx * first])[:order + 1]
 
 
 def closed_gap(probe: str, n: int, theta) -> np.ndarray:

@@ -1,18 +1,32 @@
 """Reference implementations that only the tests read.
 
 Each one is an independent route to a number the package computes another
-way (partial traces, dense generators, closed forms) or the plain loop that
-a faster kernel must reproduce (the full-eigensolve invariance oracles).
+way (partial traces, dense generators, closed forms, the outcome models over
+all 2^N site masks) or the plain loop that a faster kernel must reproduce
+(the full-eigensolve invariance oracles).
 """
 
 import math
 
 import numpy as np
 
-from framefree.fisher import lui_spectrum
-from framefree.measure import cfi_grm_from_overlap
-from framefree.tensor import DensityOperator, QuditLayout, haar_unitary
-from framefree.twirl import g_twirl_apply, global_overlap_series
+from framefree.fisher import fisher_from_weight_classes, lui_spectrum
+from framefree.measure import (
+    DM,
+    LBM,
+    OutcomeDistribution,
+    cfi_grm_from_overlap,
+    gst_families,
+    readout_kernel,
+)
+from framefree.tensor import (
+    SWAP_TEST_KERNEL,
+    DensityOperator,
+    QuditLayout,
+    haar_unitary,
+    subset_transform,
+)
+from framefree.twirl import LuiState, g_twirl_apply, global_overlap_series
 from framefree.verify import LUI_CHECK_ATOL, LUI_SPECTRUM_ATOL, trace_distance
 
 
@@ -85,6 +99,43 @@ def cfi_grm(pair) -> float:
     """Information of the globally randomized computational-basis readout."""
     s, ds = global_overlap_series(pair)[:2]
     return cfi_grm_from_overlap(s, ds, pair.layout.n_sites, pair.layout.local_dim)
+
+
+def cfi_gst_from_overlap(s, gap, ds, dds):
+    """Information of the global swap test from s, its stable 1 - s, s' and
+    s'', elementwise over arrays of angles; a scalar for scalar input."""
+    return fisher_from_weight_classes(gst_families([s, ds, dds], gap))[()]
+
+
+# -- outcome models over all 2^N site masks, one row per angle of an array
+
+
+def probs_dm(lui: LuiState) -> OutcomeDistribution:
+    """Both-copy computational-basis readout after the local twirl, grouped
+    by the mask of sites whose two copies coincide."""
+    kernel = readout_kernel(DM, lui.layout.local_dim)
+    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
+
+
+def probs_gst(lui: LuiState) -> OutcomeDistribution:
+    """Ancilla readout of the global swap test: p_+/- = (1 +/- <S>)/2, with
+    <S> the full-mask overlap.  The full swap commutes with collective
+    rotations, so the local twirl keeps <S>."""
+    s = lui.coeffs[..., -1]
+    return OutcomeDistribution(np.stack([(1 + s) / 2, (1 - s) / 2], axis=-1))
+
+
+def probs_lst(lui: LuiState) -> OutcomeDistribution:
+    """Per-site ancilla bitstring probabilities of the local swap test,
+    grouped by the mask of antisymmetric sites."""
+    return OutcomeDistribution(subset_transform(lui.coeffs, SWAP_TEST_KERNEL))
+
+
+def probs_lbm(lui: LuiState) -> OutcomeDistribution:
+    """Per-site Bell readout (qubits): patterns grouped by the mask of sites
+    that landed in the singlet, triplet choices folded into the class."""
+    kernel = readout_kernel(LBM, lui.layout.local_dim)
+    return OutcomeDistribution(subset_transform(lui.coeffs, kernel))
 
 
 def exact_rotation_distance(rho: DensityOperator, trials: int, rng: np.random.Generator,

@@ -25,8 +25,6 @@ from framefree.measure import (
     cfi,
     cfi_grm_from_overlap,
     estimation_experiment,
-    probs_dm,
-    probs_lbm,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import QuditLayout, StateVector, popcounts
@@ -40,7 +38,7 @@ from framefree.twirl import (
 )
 from framefree.verify import CommutantQuery, commutant_dimension, invariance_suite, trace_distance
 
-from reference import qfi_gui_ghz_closed
+from reference import probs_dm, probs_lbm, qfi_gui_ghz_closed
 
 SEED = 0xC0FFEE
 

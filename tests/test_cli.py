@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framefree import measure
+from framefree import fisher, measure, twirl
 from framefree.cli import SCAN_STRATEGIES, _scan_columns, main, run_estimate, run_verify
 from framefree.fisher import qfi_ghz_closed, qfi_product_closed
 from framefree.tensor import popcounts
@@ -328,15 +328,49 @@ class TestEstimate:
         assert "not finite and positive" in capsys.readouterr().err
 
     def test_readout_looked_up_per_call(self, monkeypatch):
-        # a wrapper installed on the measure module (a tracer, say) is the one called
+        # a wrapper installed on twirl.closed_families (a tracer, say) is the
+        # one the model calls: the information once with every row, each
+        # search step with den alone, and never the 2^N mask route
         cfg = {"probe": "ghz", "sites": 3, "strategy": "lbm", "true_theta": 0.4,
                "shots": 1000, "reps": 4, "seed": 5}
         plain = run_estimate(cfg)
-        calls = []
-        probs_lbm = measure.probs_lbm
-        monkeypatch.setattr(measure, "probs_lbm", lambda lui: calls.append(1) or probs_lbm(lui))
+        orders = []
+        families = twirl.closed_families
+        monkeypatch.setattr(twirl, "closed_families",
+                            lambda *args: orders.append(args[-1]) or families(*args))
+
+        def refuse(*args):
+            raise AssertionError("the mask route was called")
+
+        monkeypatch.setattr(twirl, "closed_lui", refuse)
+        for module in (twirl, fisher):
+            monkeypatch.setattr(module, "subset_transform", refuse)
         assert run_estimate(cfg) == plain
-        assert calls
+        assert orders.count(2) == 1 and orders.count(0) == len(orders) - 1 > 0
+
+    @pytest.mark.parametrize("strategy, n", [
+        ("lbm", 6), ("lbm", 8), ("lbm", 10), ("lbm", 12), ("gst", 8), ("gst", 10),
+        ("gst", 12), ("dm", 8), ("dm", 10), ("dm", 12)])
+    def test_ghz_estimates_do_not_alias(self, strategy, n):
+        # the GHZ likelihood fixes N theta only modulo pi/(2N): searched over
+        # theta +/- 0.5 these runs converged to the alias pi/N - theta
+        report = run_estimate({"probe": "ghz", "sites": n, "strategy": strategy,
+                               "true_theta": 0.05, "shots": 10_000, "reps": 50, "seed": 3})
+        assert abs(report["bias"]) <= 3.0 * report["crb"] ** 0.5, report
+        assert report["bias"] == report["estimate_mean"] - 0.05
+        if strategy != "dm":
+            # the direct readout's little information near the cell edge at
+            # 0 still puts some of its estimates on that edge
+            assert 0.5 <= report["mse_over_crb"] <= 2.0
+            assert report["boundary_hits"] == 0
+
+    @pytest.mark.parametrize("probe, sites, theta, code", [
+        ("ghz", "13", "0.05", 0), ("product", "64", "0.4", 0), ("ghz", "65", "0.05", 2),
+        ("product", "0", "0.4", 2)])
+    def test_sites_share_the_scan_range(self, probe, sites, theta, code):
+        # the weight-class model builds nothing dense, so no dense cap applies
+        assert main(["estimate", "--probe", probe, "--sites", sites, "--strategies", "lbm",
+                     "--true-theta", theta, "--shots", "10000", "--reps", "4"]) == code
 
     def test_lbm_short_run_reasonable(self, tmp_path):
         out = tmp_path / "lbm.json"

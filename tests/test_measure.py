@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from framefree.cli import _scan_columns
+from framefree.cli import _closed_families, _scan_columns
 from framefree.fisher import (
     f0,
     fisher_from_coefficients,
     fisher_from_weight_classes,
     qfi_from_spectrum,
     qfi_ghz_closed,
+    qfi_gui_re,
     qfi_re_general,
 )
 from framefree.measure import (
@@ -20,17 +21,12 @@ from framefree.measure import (
     _golden_max,
     cfi,
     cfi_grm_from_overlap,
-    cfi_gst,
-    cfi_gst_from_overlap,
     default_window,
     estimation_experiment,
     mle_estimate,
-    probs_dm,
-    probs_gst,
-    probs_lbm,
-    probs_lst,
     readout_kernel,
     sample_outcomes,
+    weight_class_distribution,
 )
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import QuditLayout, popcounts
@@ -47,7 +43,15 @@ from framefree.twirl import (
     swap_overlaps,
 )
 
-from reference import cfi_grm, qfi_gui_ghz_closed
+from reference import (
+    cfi_grm,
+    cfi_gst_from_overlap,
+    probs_dm,
+    probs_gst,
+    probs_lbm,
+    probs_lst,
+    qfi_gui_ghz_closed,
+)
 from conftest import random_hermitian, random_state
 
 
@@ -273,11 +277,11 @@ class TestGlobalSwapTest:
 
     def test_equals_global_twirl_information(self):
         for theta in (0.15, 0.5, 1.0):
-            got = cfi_gst(ghz_pair(2, theta))
+            got = qfi_gui_re(ghz_pair(2, theta))
             assert abs(got - qfi_gui_ghz_closed(2, theta)) < 1e-9
 
     def test_small_angle_recovers_ceiling(self):
-        got = cfi_gst(ghz_pair(2, 1e-4))
+        got = qfi_gui_re(ghz_pair(2, 1e-4))
         assert abs(got - 8.0) / 8.0 < 1e-3
 
     @pytest.mark.parametrize("probe", ["ghz", "product"])
@@ -290,7 +294,7 @@ class TestGlobalSwapTest:
             h = HamiltonianSpec.pauli_z_sum(n)
             ceiling = f0(psi, h)
             for theta in (3e-5, 1e-4, 1e-3, 1e-2, 0.3):
-                got = cfi_gst(make_pair(psi, h, theta, RE))
+                got = qfi_gui_re(make_pair(psi, h, theta, RE))
                 want = mp_class_information(mp, probe, n, theta)
                 assert abs(got - want) <= 1e-12 * want, (n, theta, got, want)
                 assert got <= ceiling
@@ -432,6 +436,62 @@ class TestReadoutInformation:
                 assert abs(value - want) <= 1e-12 * ceiling, (readout, theta, value, want)
 
 
+def weight_model(readout, probe, n):
+    """The outcome model that `estimate` samples: the weight classes' den."""
+    return lambda t: weight_class_distribution(_closed_families(readout, probe, n, t, 0)[0])
+
+
+MASK_MODELS = {DM: probs_dm, LST: probs_lst, LBM: probs_lbm, "gst": probs_gst}
+
+
+def grouped_mask_model(readout, probe, n):
+    """The 2^N mask route, its classes summed by mask weight (the global swap
+    test's two classes as they are)."""
+    weights = np.eye(n + 1)[popcounts(n)] if readout != "gst" else np.eye(2)
+    return lambda t: MASK_MODELS[readout](closed_lui(probe, n, t)).probs @ weights
+
+
+class TestWeightClassModel:
+    @pytest.mark.parametrize("readout", [DM, LST, LBM, "gst"])
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    def test_matches_grouped_mask_route(self, readout, probe):
+        # at 0, just above it, every stationary angle k pi/(2N) and generic angles
+        for n in range(1, 7):
+            thetas = np.concatenate([[0.0, 1e-4, 0.3, 0.77, 1.2],
+                                     np.arange(n + 1) * np.pi / (2 * n)])
+            got = weight_model(readout, probe, n)(thetas).probs
+            want = grouped_mask_model(readout, probe, n)(thetas)
+            assert got.shape == want.shape == (thetas.size, 2 if readout == "gst" else n + 1)
+            assert np.max(np.abs(got - want)) <= 1e-14, (n, readout)
+
+    @pytest.mark.parametrize("readout, probe, n", [
+        (LBM, "ghz", 3), (DM, "ghz", 2), (LST, "product", 4), (DM, "product", 5)])
+    def test_weight_counts_estimate_as_mask_counts(self, readout, probe, n):
+        # the weight counts are a sufficient statistic: the two log-likelihoods
+        # differ by a constant, so both searches find one maximizer
+        mask_model = lambda t: MASK_MODELS[readout](closed_lui(probe, n, t))
+        dist = mask_model(0.3)
+        counts = np.stack([sample_outcomes(dist, 5_000, np.random.default_rng([23, r]))
+                           for r in range(20)])
+        window = default_window(0.3, n if probe == "ghz" else 1)
+        by_mask, _ = mle_estimate(counts, mask_model, window)
+        by_weight, _ = mle_estimate(counts @ np.eye(n + 1)[popcounts(n)],
+                                    weight_model(readout, probe, n), window)
+        assert np.max(np.abs(by_mask - by_weight)) <= 1e-7
+
+    def test_window_is_the_identifiable_cell(self):
+        # GHZ N=6: theta = 0.05 lies in [0, pi/12], 0.6 in [pi/6, pi/4]
+        width = np.pi / 12
+        assert default_window(0.05, 6) == (1e-6, width - 1e-6)
+        assert default_window(0.6, 6) == (2 * width + 1e-6, 3 * width - 1e-6)
+        # angles outside the quadrant take its nearest cell
+        assert default_window(-0.1, 6) == (1e-6, width - 1e-6)
+        assert default_window(np.pi / 2, 6) == (5 * width + 1e-6, 6 * width - 1e-6)
+        # one cell is the whole quadrant, cut to theta +/- 0.5
+        assert default_window(0.3) == default_window(0.3, 1) == (1e-6, 0.8)
+        assert default_window(1.4) == (1.4 - 0.5, np.pi / 2 - 1e-6)
+
+
 class TestDistributionValidityOverGrid:
     def test_all_strategies_valid_distributions(self):
         # OutcomeDistribution construction enforces positivity and unit sum,
@@ -531,7 +591,7 @@ class TestEstimationExperiment:
 
     def test_deterministic(self):
         model = stacked(lambda t: probs_gst(lui_coefficients(ghz_pair(2, t))))
-        information = cfi_gst(ghz_pair(2, 0.1))
+        information = qfi_gui_re(ghz_pair(2, 0.1))
         a = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
         b = estimation_experiment(model, 0.1, information, 2_000, 8, seed=5)
         assert a.estimate == b.estimate and a.variance == b.variance
