@@ -89,6 +89,8 @@ def run_scan(cfg: dict) -> dict:
     if points < 2:
         raise ValueError("theta_points must be at least 2")
     lo, hi = float(cfg["theta_min"]), float(cfg["theta_max"])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"theta_min and theta_max must be finite, got {lo} and {hi}")
     if not hi > lo:
         raise ValueError("theta grid must be strictly increasing")
     strategies = cfg["strategies"]
@@ -102,11 +104,11 @@ def run_scan(cfg: dict) -> dict:
     grid = np.linspace(lo, hi, points)
     columns = _scan_columns(probe, n, grid, strategies)
     table = np.column_stack([grid] + [columns[s] for s in strategies])
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
     out = Path(cfg["out"])
     with open(out, "w", newline="") as fh:
         fh.write("theta," + ",".join(strategies) + "\n")
-        for row in table.tolist():
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        fh.write(row * points % tuple(table.ravel().tolist()))
     meta = {
         "probe": probe,
         "sites": n,
@@ -253,6 +255,8 @@ def run_estimate(cfg: dict) -> dict:
     if shots < 1:
         raise ValueError("shots must be at least 1")
     true_theta = float(cfg["true_theta"])
+    if not math.isfinite(true_theta):
+        raise ValueError(f"true_theta must be finite, got {true_theta}")
     if strategy not in ESTIMATE_READOUTS:  # a tuple also turns away unhashable values
         raise ValueError(f"estimate strategy must be one of {ESTIMATE_READOUTS}")
 

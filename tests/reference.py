@@ -3,7 +3,7 @@
 Each one is an independent route to a number the package computes another
 way (partial traces, dense generators, closed forms, the outcome models over
 all 2^N site masks) or the plain loop that a faster kernel must reproduce
-(the full-eigensolve invariance oracles).
+(the full-eigensolve invariance oracles, the per-value scan CSV writer).
 """
 
 import math
@@ -105,6 +105,15 @@ def cfi_gst_from_overlap(s, gap, ds, dds):
     """Information of the global swap test from s, its stable 1 - s, s' and
     s'', elementwise over arrays of angles; a scalar for scalar input."""
     return fisher_from_weight_classes(gst_families([s, ds, dds], gap))[()]
+
+
+def scan_csv_text(strategies, table: np.ndarray) -> str:
+    """A scan CSV written one value at a time: the header ``theta,<strategies>``
+    and one row per grid point, each value formatted with ``.12g``."""
+    text = "theta," + ",".join(strategies) + "\n"
+    for row in table.tolist():
+        text += ",".join(f"{v:.12g}" for v in row) + "\n"
+    return text
 
 
 # -- outcome models over all 2^N site masks, one row per angle of an array

@@ -10,7 +10,7 @@ from framefree.fisher import qfi_ghz_closed, qfi_product_closed
 from framefree.tensor import popcounts
 from framefree.twirl import closed_overlaps
 
-from reference import qfi_gui_ghz_closed
+from reference import qfi_gui_ghz_closed, scan_csv_text
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,6 +68,24 @@ class TestScan:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", [1, 13, 64])
+    @pytest.mark.parametrize("grid", ["quadrant", "negative", "tiny"])
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, probe, n, grid):
+        # the quadrant grid holds theta = 0 and every GHZ stationary angle
+        # k pi/(2N); the others cross 0 from negative angles
+        lo, hi, points = {"quadrant": (0.0, np.pi / 2, 16 * n + 1),
+                          "negative": (-0.9, 0.4, 53),
+                          "tiny": (-1e-160, 1e-160, 5)}[grid]
+        out = tmp_path / "all.csv"
+        assert main(["scan", "--probe", probe, "--sites", str(n), f"--theta-min={lo!r}",
+                     f"--theta-max={hi!r}", "--theta-points", str(points),
+                     "--strategies", ",".join(SCAN_STRATEGIES), "--out", str(out)]) == 0
+        thetas = np.linspace(lo, hi, points)
+        columns = _scan_columns(probe, n, thetas, SCAN_STRATEGIES)
+        table = np.column_stack([thetas] + [columns[s] for s in SCAN_STRATEGIES])
+        assert out.read_bytes() == scan_csv_text(SCAN_STRATEGIES, table).encode()
 
     def test_global_twirl_column_near_zero_angle(self, tmp_path):
         # GHZ N=10 within 1e-6 of the stationary angle 0: the overlap gate
@@ -211,6 +229,14 @@ class TestScan:
             main(["scan", flag, "3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bound", ["--theta-min=inf", "--theta-min=-inf", "--theta-min=nan",
+                                       "--theta-max=inf", "--theta-max=-inf", "--theta-max=nan"])
+    def test_non_finite_angle_rejected(self, tmp_path, capsys, bound):
+        code = main(["scan", bound, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "theta_min and theta_max must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_degenerate_grid_rejected(self, tmp_path):
         code = main(["scan", "--theta-min", "0.0", "--theta-max", "0.0",
                      "--theta-points", "2", "--out", str(tmp_path / "x.csv")])
@@ -320,6 +346,14 @@ class TestEstimate:
 
     def test_zero_shots_rejected(self):
         assert main(["estimate", "--shots", "0"]) == 2
+
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+    def test_non_finite_true_theta_rejected(self, tmp_path, capsys, theta):
+        code = main(["estimate", f"--true-theta={theta}", "--shots", "10", "--reps", "2",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "true_theta must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_zero_information_rejected(self, capsys):
         # the direct readout carries no information at theta = 0
