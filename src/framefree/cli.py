@@ -89,8 +89,10 @@ def run_scan(cfg: dict) -> dict:
     if points < 2:
         raise ValueError("theta_points must be at least 2")
     lo, hi = float(cfg["theta_min"]), float(cfg["theta_max"])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"theta_min and theta_max must be finite, got {lo} and {hi}")
+    # the closed forms take sines and cosines of 2 N theta
+    if not (math.isfinite(hi - lo) and math.isfinite(2.0 * n * max(-lo, hi))):
+        raise ValueError(f"theta_min and theta_max must be finite, as must their difference and "
+                         f"2 * sites * theta, got {lo} and {hi} at {n} sites")
     if not hi > lo:
         raise ValueError("theta grid must be strictly increasing")
     strategies = cfg["strategies"]

@@ -122,6 +122,48 @@ def check_hermitian(mat: np.ndarray, atol: float) -> None:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err})")
 
 
+@functools.cache
+def _orbit_plan(n: int, d: int) -> tuple:
+    """Two-copy basis indices by orbit under the copy exchanges, read-only:
+    entry k stacks the orbits whose copies differ on k sites as rows of 2^k,
+    member j exchanged on the subset j of those sites."""
+    p = d ** np.arange(2 * n)
+    a, b = np.split(np.arange(d ** (2 * n))[:, None] // p % d, 2, axis=1)
+    rep = np.flatnonzero((a <= b).all(axis=1))
+    # exchanging site i moves an index by (b_i - a_i) (d^i - d^(n+i)) <= 0: sorted, nonzero first
+    step = np.sort((b - a)[rep] * (p[:n] - p[n:]), axis=1)
+    width = np.count_nonzero(step, axis=1)
+    plan = []
+    for k in range(n + 1):
+        bits = np.arange(1 << k) >> np.arange(k)[:, None] & 1
+        plan.append(rep[width == k, None] + step[width == k, :k] @ bits)
+        plan[-1].flags.writeable = False
+    return tuple(plan)
+
+
+def orbit_blocks(mat: np.ndarray, n: int, d: int) -> tuple:
+    """The orbit blocks of a two-copy matrix, stacked by size, and the Frobenius
+    norm of the entries outside them, where every span of copy exchanges is 0."""
+    rest, blocks = mat.copy(), []
+    for members in _orbit_plan(n, d):
+        rows, cols = members[:, :, None], members[:, None, :]
+        blocks.append(rest[rows, cols])
+        rest[rows, cols] = 0
+    # from the off-block entries themselves: ||mat||^2 - sum ||block||^2 cancels
+    return blocks, float(np.sqrt(np.vdot(rest, rest).real))
+
+
+def _shifted_factor(mats: np.ndarray, shift: float) -> bool:
+    """Whether every matrix of a stack, plus shift * I, has a Cholesky factor."""
+    shifted = mats.copy()
+    np.einsum("...ii->...i", shifted)[...] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(eq=False)
 class StateVector:
     """Pure state on the full register; unit norm enforced at construction."""
@@ -160,21 +202,29 @@ class DensityOperator:
         dim = self.layout.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        # every test is written so that a NaN entry fails it
-        check_hermitian(mat, HERMITIAN_ATOL)
+        # every test is written so that a NaN entry fails it.  A two-copy state
+        # near its orbit blocks passes on them; others, and rejections, take the full tests
+        herm_ok = psd_ok = False
+        if self.layout.copies == 2:
+            blocks, off = orbit_blocks(mat, self.layout.n_sites, self.layout.local_dim)
+            tol = HERMITIAN_ATOL * max(1.0, max(np.max(np.abs(b)) for b in blocks))
+            # off-block entries differ by at most 2 off from their mirrors.  Weyl: blocks
+            # above -PSD_ATOL / 4 and off <= PSD_ATOL / 4 put lambda_min above -PSD_ATOL / 2
+            herm_ok = 2 * off <= tol and all(
+                np.max(np.abs(b - b.swapaxes(1, 2).conj())) <= tol for b in blocks)
+            psd_ok = herm_ok and off <= PSD_ATOL / 4 and all(
+                _shifted_factor(b, PSD_ATOL / 4) for b in blocks)
+        if not herm_ok:
+            check_hermitian(mat, HERMITIAN_ATOL)
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         # a Cholesky factor of mat + (PSD_ATOL / 2) I proves the smallest
         # eigenvalue above -PSD_ATOL; without one the spectrum decides
-        shifted = mat.copy()
-        shifted.flat[:: dim + 1] += PSD_ATOL / 2
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+        if not (psd_ok or _shifted_factor(mat, PSD_ATOL / 2)):
             lo = float(np.linalg.eigvalsh(mat)[0])
             if not lo >= -PSD_ATOL:
-                raise ValueError(f"matrix has negative eigenvalue {lo}") from None
+                raise ValueError(f"matrix has negative eigenvalue {lo}")
         self.matrix = mat
 
 

@@ -3,16 +3,15 @@
 Nothing here reuses the analytic twirl formulas it checks: the commutant
 dimension comes from a nullspace computation over random group elements,
 and the invariance and convergence suites compare dense matrices by trace
-distance; the invariance oracles eigensolve one block per swap sector (mask
-of antisymmetric sites), which U (x) U and every swap keep.
+distance; the invariance oracles eigensolve the blocks of `tensor.orbit_blocks`,
+off which an invariant state and its rotated copies are zero up to rounding.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOperator, haar_unitary, hermitian_eig, local_unitary
+from .tensor import DensityOperator, haar_unitary, hermitian_eig, local_unitary, orbit_blocks
 from .twirl import (
     LuiState,
     _lui_matrix,
@@ -38,7 +37,7 @@ COMMUTANT_TRACE_TOL = 1e-8
 # eigenvalue against the spectrum predicted from the coefficients
 LUI_CHECK_ATOL = 1e-10
 LUI_SPECTRUM_ATOL = 1e-9
-# widest swap-sector bracket on a trace distance that is reported by its upper
+# widest orbit-block bracket on a trace distance that is reported by its upper
 # end.  An invariant state's is about 1e-16 at dimension 729; the slack is 1% of
 # the 1e-10 bounds decided on (LUI_CHECK_ATOL, invariance), so none turns on it
 BLOCK_SLACK = 1e-12
@@ -157,44 +156,6 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
-@functools.cache
-def _sector_plan(n: int, d: int) -> tuple:
-    """Read-only swap-sector basis of n two-copy sites: the real orthogonal
-    change q of a site pair to its symmetric, then antisymmetric vectors; the
-    order that sorts the site-pair-major basis by sector; each sector's span."""
-    d2, n_sym = d * d, d * (d + 1) // 2
-    new, sector = np.arange(d2 ** n), 0
-    for i in range(n):
-        sector += ((new // d2 ** i) % d2 >= n_sym) << i
-    # rows |aa>, then (|ab> + |ba>) / sqrt 2 and (|ab> - |ba>) / sqrt 2 for a < b
-    q, (a, b), rows = np.zeros((d2, d2)), np.triu_indices(d, 1), np.arange(d, d2)
-    q[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-    q[rows, np.tile(a * d + b, 2)] = np.sqrt(0.5)
-    q[rows, np.tile(b * d + a, 2)] = np.repeat([1.0, -1.0], len(a)) * np.sqrt(0.5)
-    order = np.argsort(sector, kind="stable")
-    bounds = np.cumsum(np.bincount(sector, minlength=1 << n)).tolist()
-    q.flags.writeable = order.flags.writeable = False
-    return q, order, tuple(zip([0] + bounds[:-1], bounds))
-
-
-def _swap_blocks(mat: np.ndarray, n: int, d: int) -> tuple:
-    """The swap-sector blocks of a two-copy matrix and the Frobenius norm of
-    everything outside them."""
-    q, order, spans = _sector_plan(n, d)
-    # site-pair-major: tensor axes i and n + i hold copies B and A of site n-1-i
-    pairs = [j for i in range(n) for j in (i, n + i)]
-    t = mat.reshape((d,) * 4 * n).transpose(pairs + [2 * n + j for j in pairs]).reshape(mat.shape)
-    t = t.view(float)  # complex entries as (re, im) pairs: every product is real
-    for k in range(2 * n - 1):  # each site pair of the rows, then of the columns
-        t = q @ t.reshape(len(q) ** k, len(q), -1)
-    t = t.reshape(mat.shape[0], -1).view(mat.dtype).reshape(-1, len(q)) @ q.T
-    t = t.reshape(mat.shape)[np.ix_(order, order)]
-    # from the off-block entries themselves: ||t||^2 - sum ||block||^2 cancels
-    off = sum(np.vdot(t[a:b, :a], t[a:b, :a]).real + np.vdot(t[a:b, b:], t[a:b, b:]).real
-              for a, b in spans)
-    return [t[a:b, a:b] for a, b in spans], np.sqrt(off)
-
-
 def rotation_distance(rho: DensityOperator, trials: int, rng: np.random.Generator,
                       identical_sites: bool = False) -> float:
     """Max trace distance moved by random collective per-site rotations.
@@ -206,14 +167,15 @@ def rotation_distance(rho: DensityOperator, trials: int, rng: np.random.Generato
     reported; a wider bracket, and any other state, takes `trace_distance`."""
     lay = rho.layout
     n, d, root_dim = lay.n_sites, lay.local_dim, np.sqrt(lay.dim)
-    # rotations keep each sector, so a moved copy's off-block part is the state's own
-    blockwise = lay.copies == 2 and root_dim * _swap_blocks(rho.matrix, n, d)[1] <= BLOCK_SLACK
+    # a state with off-block weight is no span of copy exchanges, so not invariant
+    blockwise = lay.copies == 2 and root_dim * orbit_blocks(rho.matrix, n, d)[1] <= BLOCK_SLACK
     worst = 0.0
     for _ in range(trials):
         drawn = haar_unitary(d, rng, (1 if identical_sites else n,))
         moved = g_twirl_apply(rho, np.broadcast_to(drawn, (n, d, d)))
         if blockwise:
-            blocks, off = _swap_blocks(moved.matrix - rho.matrix, n, d)
+            # U (x) U does not keep the orbits: each difference's own off-block norm decides
+            blocks, off = orbit_blocks(moved.matrix - rho.matrix, n, d)
             if 0.5 * root_dim * off <= BLOCK_SLACK:
                 norm = sum(np.sum(np.abs(np.linalg.eigvalsh(b))) for b in blocks)
                 worst = max(worst, float(0.5 * (norm + root_dim * off)))
@@ -245,8 +207,9 @@ def lui_state_checks(lui: LuiState) -> dict:
 
     # Weyl: each sorted eigenvalue lies within the off-block norm of the blocks'
     # sorted ones; where the checks at the two ends disagree, solve in full
-    blocks, off = _swap_blocks(mat, lui.n_sites, lui.layout.local_dim)
-    outcomes = eigen_checks(np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])), off)
+    blocks, off = orbit_blocks(mat, lui.n_sites, lui.layout.local_dim)
+    eigvals = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks])
+    outcomes = eigen_checks(np.sort(eigvals), off)
     if len(outcomes) > 1:
         outcomes = eigen_checks(np.linalg.eigvalsh(mat), 0.0)
     (positive, consistent), = outcomes

@@ -237,6 +237,18 @@ class TestScan:
         assert "theta_min and theta_max must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["--theta-min=-1e308", "--theta-max=1e308", "--theta-points", "3"],
+        ["--sites", "64", "--theta-min=1e307", "--theta-max=1.5e307"],
+        ["--sites", "1", "--theta-min=1e308", "--theta-max=1.7e308"],
+    ])
+    def test_overflowing_grid_rejected(self, tmp_path, capsys, args):
+        # finite bounds whose span or 2 N theta overflows gave columns of nan
+        code = main(["scan", *args, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "as must their difference and 2 * sites * theta" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_degenerate_grid_rejected(self, tmp_path):
         code = main(["scan", "--theta-min", "0.0", "--theta-max", "0.0",
                      "--theta-points", "2", "--out", str(tmp_path / "x.csv")])

@@ -6,6 +6,7 @@ from framefree.tensor import (
     DensityOperator,
     QuditLayout,
     StateVector,
+    _orbit_plan,
     dim_cap,
     haar_unitary,
     hermitian_eig,
@@ -14,6 +15,7 @@ from framefree.tensor import (
     popcounts,
     subset_transform,
     swap_operator,
+    swap_permutation,
     trace_product,
 )
 
@@ -215,6 +217,24 @@ class TestSwapOperator:
     def test_requires_two_copies(self):
         with pytest.raises(ValueError, match="two-copy"):
             swap_operator(1, QuditLayout(2, 2, 1))
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)])
+def test_orbit_plan_partitions_under_every_exchange(n, d):
+    plan = _orbit_plan(n, d)
+    assert [rows.shape[1] for rows in plan] == [1 << k for k in range(n + 1)]
+    flat = np.concatenate([rows.ravel() for rows in plan])
+    assert np.array_equal(np.sort(flat), np.arange(d ** (2 * n)))
+    # label each index by its orbit row; every exchange keeps the labels
+    label = np.empty(flat.size, dtype=int)
+    start = 0
+    for rows in plan:
+        label[rows] = start + np.arange(len(rows))[:, None]
+        start += len(rows)
+    layout = QuditLayout(n, d, 2)
+    for mask in range(1 << n):
+        assert np.array_equal(label[swap_permutation(mask, layout)], label)
+    assert not plan[0].flags.writeable
 
 
 class TestHaar:

@@ -4,7 +4,7 @@ import pytest
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree import verify
 from framefree.fisher import lui_spectrum
-from framefree.tensor import DensityOperator, QuditLayout, StateVector
+from framefree.tensor import DensityOperator, QuditLayout, StateVector, _orbit_plan
 from framefree.twirl import (
     LuiState,
     _lui_matrix,
@@ -61,15 +61,26 @@ def invariant_state(label):
 
 @pytest.fixture
 def eigensolve_sizes(monkeypatch):
-    """Dimensions of every `np.linalg.eigvalsh` input, in call order."""
+    """Dimensions of every `np.linalg.eigvalsh` input, in call order; a
+    stack of blocks counts as its block size."""
+    return _record_sizes(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """Dimensions of every `np.linalg.cholesky` input, in call order."""
+    return _record_sizes(monkeypatch, "cholesky")
+
+
+def _record_sizes(monkeypatch, name):
     sizes = []
-    solve = np.linalg.eigvalsh
+    solve = getattr(np.linalg, name)
 
     def record(a, *args, **kwargs):
-        sizes.append(len(a))
+        sizes.append(np.shape(a)[-1])
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    monkeypatch.setattr(np.linalg, name, record)
     return sizes
 
 
@@ -214,7 +225,7 @@ class TestRealInput:
 
 
 class TestSectorBracket:
-    """Distances from the swap-sector blocks: never below the full
+    """Distances from the orbit blocks: never below the full
     eigensolve's and within BLOCK_SLACK of it, trial by trial."""
 
     @pytest.mark.parametrize("label", INVARIANT_LABELS)
@@ -242,8 +253,8 @@ class TestSectorBracket:
     def test_off_block_perturbation_falls_back(self, eigensolve_sizes):
         lay2 = QuditLayout(3, 2, 2)
         mixed = (lui_density(ghz_lui(3, 0.4)).matrix + np.eye(lay2.dim) / lay2.dim) / 2
-        # |0...0> is symmetric on every site pair, basis state 1 half
-        # antisymmetric on site 0: the bump couples two sectors
+        # |0...0> is alone in its orbit, basis state 1 shares one with its
+        # copy exchange on site 0: the bump couples two orbits
         bump = np.zeros_like(mixed)
         bump[0, 1] = bump[1, 0] = 1e-9
         rho = DensityOperator(lay2, mixed + bump)
@@ -271,6 +282,57 @@ def pushed(lui, target):
     shift[low] = target - vals[low]
     shift[-1] -= shift[low] * deg[low] / deg[-1]
     return LuiState(lui.layout, np.linalg.solve(kernel, vals + shift))
+
+
+class TestOrbitGate:
+    """Two-copy states are checked on their orbit blocks where those decide;
+    every rejection comes from the full-matrix checks."""
+
+    @pytest.mark.parametrize("label", ["ghz3", "qutrit2"])
+    @pytest.mark.parametrize("lowest, accepted", [(-0.9e-10, True), (-1.1e-10, False)])
+    def test_psd_gate_boundary(self, label, lowest, accepted, eigensolve_sizes):
+        # as for one copy: no factor on either side of -PSD_ATOL, so the
+        # full spectrum decides at the threshold
+        lui = pushed(invariant_state(label), lowest)
+        dim = lui.layout.two_copy().dim
+        if accepted:
+            DensityOperator(lui.layout.two_copy(), _lui_matrix(lui))
+        else:
+            with pytest.raises(ValueError, match=r"negative eigenvalue -1\.(1|09)"):
+                DensityOperator(lui.layout.two_copy(), _lui_matrix(lui))
+        assert eigensolve_sizes == [dim]
+
+    def test_off_orbit_asymmetry_rejected(self):
+        mat = _lui_matrix(ghz_lui(3, 0.4))
+        # basis states 0 and 1 lie in different orbits
+        mat[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(QuditLayout(3, 2, 2), mat)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_nan_entry_rejected(self, inside):
+        lui = invariant_state("qutrit2")
+        mat = _lui_matrix(lui)
+        i, j = _orbit_plan(2, 3)[1][0] if inside else (0, 1)
+        mat[i, j] = mat[j, i] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(lui.layout.two_copy(), mat)
+
+    @pytest.mark.parametrize("label", ["ghz5", "qutrit3"])
+    def test_invariant_states_factor_blocks_only(self, label, factor_sizes):
+        lui = invariant_state(label)
+        dim = lui.layout.two_copy().dim
+        dense = lui_density(lui)
+        invariance_suite(lui, 2, seed=5)
+        # one factor per stack of blocks, n + 1 stacks: lui_density twice,
+        # then one rotated copy per trial
+        assert len(factor_sizes) == 4 * (lui.n_sites + 1)
+        assert max(factor_sizes) < dim
+        assert np.array_equal(dense.matrix, _lui_matrix(lui))
+
+    def test_product_state_factors_in_full(self, factor_sizes):
+        raw = pair_product_density(ghz_pair(2, 0.3))
+        assert factor_sizes == [raw.layout.dim]
 
 
 class TestValidityChecks:
