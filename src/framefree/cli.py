@@ -37,21 +37,19 @@ _READOUT_COLUMNS = {"qfi_gui": "gst", "cfi_gst": "gst", "cfi_dm": "dm", "cfi_lst
                     "cfi_lbm": "lbm"}
 
 
-def _closed_families(readout: str, probe: str, n: int, theta, order: int = 2):
-    """Weight-class families of a readout of a closed probe, elementwise over
-    angles: the N + 1 classes of its kernel, or the global swap test's two
-    classes from s and its stable 1 - s."""
+def _closed_families(readout: str, probe: str, n: int):
+    """Weight-class families (theta, order=2) of a readout of a closed probe:
+    the N + 1 classes of its kernel, or the global swap test's two classes
+    from s and its stable 1 - s.  `twirl` is looked up on every call."""
     if readout == "gst":
-        return measure.gst_families(twirl.closed_overlaps(probe, n, theta, order)[..., n],
-                                    twirl.closed_gap(probe, n, theta))
+        return lambda theta, order=2: measure.gst_families(
+            *twirl.closed_swap(probe, n, theta, order))
     kernel = measure.readout_kernel(readout, 2)
-    return twirl.closed_families(probe, n, theta, kernel, order)
+    return lambda theta, order=2: twirl.closed_families(probe, n, theta, kernel, order)
 
 
 def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
     """Each requested column over the whole theta grid."""
-    # for a pure probe s''(0) = -8 Var H = -f0
-    f0 = -twirl.closed_overlaps(probe, n, 0.0)[2, n]
     columns = {}
     for strategy in strategies:
         if strategy == "qfi_re":
@@ -61,38 +59,40 @@ def _scan_columns(probe: str, n: int, grid: np.ndarray, strategies) -> dict:
             # identical encoding with a one-local generator carries nothing
             columns[strategy] = np.zeros_like(grid)
         elif strategy == "f0":
-            columns[strategy] = np.full_like(grid, f0)
+            # for a pure probe s''(0) = -8 Var H = -f0
+            columns[strategy] = np.full_like(grid, -twirl.closed_swap(probe, n, 0.0)[0][2])
         elif strategy == "cfi_grm":
-            s, ds = twirl.closed_overlaps(probe, n, grid, 1)[..., n]
+            (s, ds), _ = twirl.closed_swap(probe, n, grid, 1)
             columns[strategy] = measure.cfi_grm_from_overlap(s, ds, n)
         elif strategy in _READOUT_COLUMNS:
-            families = _closed_families(_READOUT_COLUMNS[strategy], probe, n, grid)
+            families = _closed_families(_READOUT_COLUMNS[strategy], probe, n)(grid)
             columns[strategy] = fisher.fisher_from_weight_classes(families)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
     return columns
 
 
-def _closed_probe(cfg: dict) -> tuple:
-    """The probe and site count of `scan` and `estimate`."""
+def _closed_probe(cfg: dict, *angles: str) -> tuple:
+    """The probe, the site count and the first and last of the named angles
+    of `scan` and `estimate`.  The closed forms take sines and cosines of
+    2 N theta, so the angles, their difference and 2 N theta must be finite."""
     probe, n = cfg["probe"], int(cfg["sites"])
-    if probe not in PROBES:
-        raise ValueError(f"probe must be one of {PROBES}")
+    twirl.probe_factors(probe, n)  # turns away an unknown probe
     if not 1 <= n <= MAX_SCAN_SITES:
         raise ValueError(f"sites must be between 1 and {MAX_SCAN_SITES}")
-    return probe, n
+    lo, hi = float(cfg[angles[0]]), float(cfg[angles[-1]])
+    if not (math.isfinite(hi - lo) and math.isfinite(2.0 * n * max(-lo, hi))):
+        span, got = ("their difference and ", f"{lo} and {hi}") if len(angles) > 1 else ("", lo)
+        raise ValueError(f"{' and '.join(angles)} must be finite, as must {span}2 * sites * theta, "
+                         f"got {got} at {n} sites")
+    return probe, n, lo, hi
 
 
 def run_scan(cfg: dict) -> dict:
-    probe, n = _closed_probe(cfg)
+    probe, n, lo, hi = _closed_probe(cfg, "theta_min", "theta_max")
     points = int(cfg["theta_points"])
     if points < 2:
         raise ValueError("theta_points must be at least 2")
-    lo, hi = float(cfg["theta_min"]), float(cfg["theta_max"])
-    # the closed forms take sines and cosines of 2 N theta
-    if not (math.isfinite(hi - lo) and math.isfinite(2.0 * n * max(-lo, hi))):
-        raise ValueError(f"theta_min and theta_max must be finite, as must their difference and "
-                         f"2 * sites * theta, got {lo} and {hi} at {n} sites")
     if not hi > lo:
         raise ValueError("theta grid must be strictly increasing")
     strategies = cfg["strategies"]
@@ -250,26 +250,24 @@ def run_verify(suite: str, seed: int) -> dict:
 
 
 def run_estimate(cfg: dict) -> dict:
-    probe, n = _closed_probe(cfg)
+    probe, n, true_theta, _ = _closed_probe(cfg, "true_theta")
     strategy = cfg["strategy"]
     shots = int(cfg["shots"])
     reps = int(cfg["reps"])
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    true_theta = float(cfg["true_theta"])
-    if not math.isfinite(true_theta):
-        raise ValueError(f"true_theta must be finite, got {true_theta}")
     if strategy not in ESTIMATE_READOUTS:  # a tuple also turns away unhashable values
         raise ValueError(f"estimate strategy must be one of {ESTIMATE_READOUTS}")
 
-    def model(t: np.ndarray) -> measure.OutcomeDistribution:
-        return measure.weight_class_distribution(_closed_families(strategy, probe, n, t, 0)[0])
+    families = _closed_families(strategy, probe, n)
 
-    information = float(fisher.fisher_from_weight_classes(
-        _closed_families(strategy, probe, n, true_theta)))
-    # the GHZ outcomes depend on theta through cos^2(N theta), so they fix it
-    # only within one of N cells of the quadrant; the product probe's fill it
-    window = measure.default_window(true_theta, n if probe == "ghz" else 1)
+    def model(t: np.ndarray) -> measure.OutcomeDistribution:
+        return measure.weight_class_distribution(families(t, 0)[0])
+
+    information = float(fisher.fisher_from_weight_classes(families(true_theta)))
+    # the outcomes depend on theta through x = cos^2(m theta), so they fix it
+    # only within one of m cells of the quadrant (m = N for GHZ, 1 for product)
+    window = measure.default_window(true_theta, twirl.probe_factors(probe, n)[1])
     run = measure.estimation_experiment(model, true_theta, information, shots, reps,
                                         int(cfg["seed"]), window)
     return {

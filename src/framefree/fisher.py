@@ -171,10 +171,10 @@ def qfi_product_closed(n: int, theta):
 
 def qfi_ghz_closed(n: int, theta):
     """Closed form for the GHZ probe under the half-weight Z sum, elementwise
-    over arrays of angles."""
+    over arrays of angles; s / (c + 2^(N-1)) is scaled by 2^(1-N) to not overflow."""
     s = np.sin(n * theta) ** 2
     c = np.cos(n * theta) ** 2
-    return 2.0 * n * n * (1.0 - s / (c + 2.0 ** (n - 1)))
+    return 2.0 * n * n * (1.0 - np.ldexp(s, 1 - n) / (1.0 + np.ldexp(c, 1 - n)))
 
 
 def qfi_gui_re(pair: EncodedPair, _ignored=None, /) -> float:

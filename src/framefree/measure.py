@@ -93,7 +93,7 @@ def cfi_grm_from_overlap(s, ds, n_sites: int, local_dim: int = 2):
 def gst_families(series, gap) -> np.ndarray:
     """Rows den, num, sec (as many as `series` holds of s, s', s'') of the
     global swap test's classes 1 + s and 1 - s on the last axis, the weight
-    classes of one site; gap = 1 - s as `twirl.closed_gap` and
+    classes of one site; gap = 1 - s as `twirl.closed_swap` and
     `twirl.global_overlap_series` form it, so no den cancels."""
     plus = np.array(series, dtype=float)
     minus = -plus

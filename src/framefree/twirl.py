@@ -11,6 +11,7 @@ rotation as independent oracles.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,116 +134,116 @@ def lui_coefficients(pair: EncodedPair) -> LuiState:
 # reversed encoding)
 
 PROBES = ("ghz", "product")
+_TINY_ANGLE = math.sqrt(np.finfo(float).tiny)  # below it sin^2 is subnormal: the angle is 0
 
 
-def closed_overlaps(probe: str, n: int, theta, order: int = 2) -> np.ndarray:
-    """Closed-form overlaps of the GHZ or product-plus probe and their first
-    `order` exact theta derivatives, for any array of angles.
-
-    Both probes are symmetric under site permutation, so c_a depends only on
-    the weight |a|: entry [k, ..., w] of the (order + 1, *theta.shape, n + 1)
-    result is d^k c_a / dtheta^k for |a| = w.  Expand with `popcounts(n)`.
-    The GHZ overlaps are 1 at the empty mask, cos^2(n theta) at the full
-    mask and 1/2 in between; the product overlaps are cos(theta)^(2w).
-    """
+def probe_factors(probe: str, n: int) -> tuple:
+    """(f, m) of the GHZ (1, n) or product-plus (n, 1) probe on n sites: its
+    full-swap overlap s = x^f has f identical factors x = cos^2(m theta)."""
     if probe not in PROBES:
         raise ValueError(f"probe must be one of {PROBES}")
+    return (1, n) if probe == "ghz" else (n, 1)
+
+
+def _overlap_power(m: int, f: int, theta, order: int) -> tuple:
+    """s = x^f of the overlap x = cos^2(m theta) and its first `order` exact
+    derivatives, and 1 - s without cancellation: sin^2(m theta) for f = 1,
+    else -expm1(f log1p(-sin^2)).  An angle below `_TINY_ANGLE` is taken as 0."""
     if not 0 <= order <= 2:
         raise ValueError("closed forms are given up to the second derivative")
-    t = np.asarray(theta, dtype=float)[..., None]
-    w = np.arange(n + 1)
-    out = np.zeros((order + 1,) + t.shape[:-1] + (n + 1,))
-    if probe == "ghz":
-        nt = n * t[..., 0]
-        out[0] = 0.5
-        out[0, ..., 0] = 1.0
-        out[0, ..., n] = np.cos(nt) ** 2
-        if order > 0:
-            out[1, ..., n] = -n * np.sin(2.0 * nt)
-        if order > 1:
-            out[2, ..., n] = -2.0 * n * n * np.cos(2.0 * nt)
-    else:
-        cos = np.cos(t)
-        out[0] = cos ** (2 * w)
-        if order > 0:
-            # cos^(2w - 2), kept finite at w = 0 where the factor w clears it
-            inner = cos ** np.maximum(2 * w - 2, 0)
-            out[1] = -w * np.sin(2.0 * t) * inner
-        if order > 1:
-            out[2] = w * inner * (4.0 * (w - 1) * np.sin(t) ** 2 - 2.0 * np.cos(2.0 * t))
-    return out
+    t = np.asarray(theta, dtype=float)
+    mt = m * np.where(np.abs(t) < _TINY_ANGLE, 0.0, t)
+    cos, gap = np.cos(mt), np.sin(mt) ** 2
+    series = [cos ** (2 * f)]
+    if order > 0:
+        inner = cos ** (2 * f - 2)  # x^(f - 1)
+        series.append(-m * f * np.sin(2.0 * mt) * inner)
+    if order > 1:
+        # f(f - 1) x^(f - 2) x'^2 + f x^(f - 1) x'', where x'^2 = 4 m^2 x (1 - x)
+        ddx = -2.0 * m * m * np.cos(2.0 * mt)
+        series.append(f * inner * (4.0 * m * m * (f - 1) * gap + ddx))
+    if f > 1:
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives s = 0 at pi/2
+            gap = -np.expm1(f * np.log1p(-gap))
+    return series, gap
 
 
 @functools.cache
-def _kernel_powers(n: int, kernel: tuple) -> tuple:
-    """2K and its row sums for the flattened 2x2 `kernel`, the exponents
-    p = n - w and q = w of the class weights, and the GHZ families' A_w and
-    B_w: none depends on the angle, so they are built once per (n, kernel),
-    read-only."""
+def _class_factors(probe: str, n: int, kernel: tuple) -> tuple:
+    """Class-factor table of a closed probe for the flattened 2x2 `kernel`:
+    class w's sum is a product of factors u^e, u = lo (1 - x) + hi x with
+    lo, hi >= 0 and exact slope s.  Product probe: u from row 0 of 2K with
+    e = n - w, from row 1 with e = w.  GHZ, c = (1 + delta_0)/2 + (x - 1/2)
+    delta_full: one u, e = 1, s = B_w the column-1 product of 2K and lo = A_w,
+    2 A_w = row-sum product + column-0 product - B_w.  Returns (lo, hi), e and
+    the product rule's terms (coefficient, exponents) of u' and u''; read-only."""
     k2 = 2.0 * np.reshape(kernel, (2, 2))
     q = np.arange(n + 1)
     p, row_sums = n - q, k2.sum(axis=1)
-    b = k2[0, 1] ** p * k2[1, 1] ** q
-    a = 0.5 * (row_sums[0] ** p * row_sums[1] ** q + k2[0, 0] ** p * k2[1, 0] ** q - b)
-    for table in (k2, row_sums, p, q, a, b):
-        table.flags.writeable = False
-    return k2, row_sums, p, q, a, b
+    if probe == "ghz":
+        b = k2[0, 1] ** p * k2[1, 1] ** q
+        a = 0.5 * (row_sums[0] ** p * row_sums[1] ** q + k2[0, 0] ** p * k2[1, 0] ** q - b)
+        factors = [(a, a + b, b, 1)]
+    else:
+        # a factor that is 1 at x = 0 and at x = 1 is 1 (row 0 of the identity)
+        factors = [(k2[i, 0], row_sums[i], k2[i, 1], e) for i, e in ((0, p), (1, q))
+                   if (k2[i, 0], row_sums[i]) != (1.0, 1.0)]
+    lo, hi, s, e = zip(*factors)
+    ids = range(len(factors))
+
+    def term(coef, *drop):  # coef and the (i, e_i - k_i) that are not 0 everywhere
+        return coef, [(i, k) for i in ids if np.any(k := np.maximum(e[i] - drop.count(i), 0))]
+
+    first = [term(s[i] * e[i], i) for i in ids]
+    # s_i^2 e_i (e_i - 1) for i = j, 2 s_i s_j e_i e_j for i < j
+    second = [term(s[i] * s[i] * e[i] * (e[i] - 1) if i == j else 2 * s[i] * s[j] * e[i] * e[j],
+                   i, j) for i in ids for j in ids[i:]]
+    for value in [*lo, *hi, *e] + [v for c, ks in first + second for v in (c, *dict(ks).values())]:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return list(zip(lo, hi)), list(enumerate(e)), first, second
 
 
 def closed_families(probe: str, n: int, theta, kernel=SWAP_TEST_KERNEL,
                     order: int = 2) -> np.ndarray:
     """Class sums den, num, sec of c, c', c'' (the first `order` + 1) by class
     weight w for the readout with class probabilities K c, shape
-    (order + 1, *theta.shape, n + 1), scaled so that sum_w C(n, w) den_w = 2^n.
-    Each den_w is a sum of non-negative terms, the class sums of states
-    (s = 0 and s = 1), so no class sum cancels.  Product probe:
-    den_w = a^(n - w) b^w, a = 2 K00 sin^2 + 2 (K00 + K01) cos^2 and b the
-    same from row 1, num and sec by the product rule.  GHZ, with
-    c = (1 + delta_0) / 2 + (s - 1/2) delta_full: den_w = A_w sin^2(n theta) +
-    (A_w + B_w) cos^2(n theta), num_w = B_w s', sec_w = B_w s'', where B_w is
-    the column-1 product of 2K and 2 A_w = row-sum product + column-0 product - B_w."""
-    if probe not in PROBES:
-        raise ValueError(f"probe must be one of {PROBES}")
-    t = np.asarray(theta, dtype=float)[..., None]
-    # below sqrt(tiny) sin^2 is subnormal; the families are those at 0
-    t = np.where(np.abs(t) < np.sqrt(np.finfo(float).tiny), 0.0, t)
-    k2, row_sums, p, q, a, b = _kernel_powers(
-        n, tuple(np.asarray(kernel, dtype=float).ravel().tolist()))
-    if probe == "ghz":
-        nt = n * t
-        den = a * np.sin(nt) ** 2 + (a + b) * np.cos(nt) ** 2
-        if order == 0:
-            return den[None]
-        return np.stack([den, -n * np.sin(2.0 * nt) * b,
-                         -2.0 * n * n * np.cos(2.0 * nt) * b])[:order + 1]
-    sin2, cos2 = np.sin(t) ** 2, np.cos(t) ** 2
-    a, b = (k2[i, 0] * sin2 + row_sums[i] * cos2 for i in (0, 1))
-    if order == 0:
-        return (a ** p * b ** q)[None]
-    # a' = 2 K01 (cos^2)' and b' = 2 K11 (cos^2)', the same for the second derivative
-    da, db = k2[:, 1]
-    dx, ddx = -np.sin(2.0 * t), -2.0 * np.cos(2.0 * t)
+    (order + 1, *theta.shape, n + 1), scaled so that sum_w C(n, w) den_w = 2^n:
+    the class-factor table at the overlap x, num and sec by the chain rule.
+    No den_w cancels: its terms are the class sums at x = 0 and x = 1."""
+    lines, den, first, second = _class_factors(
+        probe, n, tuple(np.asarray(kernel, dtype=float).ravel().tolist()))
+    rows, gap = _overlap_power(probe_factors(probe, n)[1], 1, theta, order)
+    x, *dx = [row[..., None] for row in rows]
+    us = [lo * gap[..., None] + hi * x for lo, hi in lines]
 
-    def term(k, j):
-        # a^(p - k) b^(q - j), kept finite where a zero factor p or q clears it
-        return a ** np.maximum(p - k, 0) * b ** np.maximum(q - j, 0)
+    def product(powers, *coef):  # the product of the u_i^k over the (i, k), times coef
+        return functools.reduce(operator.mul, [us[i] ** k for i, k in powers] + [*coef])
 
-    first = da * p * term(1, 0) + db * q * term(0, 1)
-    second = (da * da * p * (p - 1) * term(2, 0) + 2 * da * db * p * q * term(1, 1)
-              + db * db * q * (q - 1) * term(0, 2))
-    return np.stack([term(0, 0), dx * first, dx * dx * second + ddx * first])[:order + 1]
+    out = [product(den)]
+    if order > 0:
+        d1 = sum(product(ks, c) for c, ks in first)
+        out.append(dx[0] * d1)
+    if order > 1:
+        out.append(dx[0] * dx[0] * sum(product(ks, c) for c, ks in second) + dx[1] * d1)
+    # np.array joins rows of one shape at a quarter of np.stack's call cost
+    return np.array(out)
 
 
-def closed_gap(probe: str, n: int, theta) -> np.ndarray:
-    """1 - s for the full-swap overlap s of the GHZ or product-plus probe,
-    without cancellation: sin^2(n theta), or -expm1(n log1p(-sin^2 theta))."""
-    if probe not in PROBES:
-        raise ValueError(f"probe must be one of {PROBES}")
-    t = np.asarray(theta, dtype=float)
-    if probe == "ghz":
-        return np.sin(n * t) ** 2
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives s = 0 at pi/2
-        return -np.expm1(n * np.log1p(-np.sin(t) ** 2))
+def closed_overlaps(probe: str, n: int, theta, order: int = 2) -> np.ndarray:
+    """Closed-form overlaps of the GHZ or product-plus probe and their first
+    `order` exact theta derivatives: entry [k, ..., w] is d^k c_a / dtheta^k
+    for |a| = w (expand with `popcounts(n)`), the class sums of the identity
+    readout 2K = 1.  GHZ: 1 at w = 0, x at w = n, 1/2 between; product: x^w."""
+    return closed_families(probe, n, theta, np.eye(2) / 2, order)
+
+
+def closed_swap(probe: str, n: int, theta, order: int = 2) -> tuple:
+    """The full-swap overlap s = x^f of the GHZ or product-plus probe with its
+    first `order` exact derivatives, (order + 1, *theta.shape), and 1 - s."""
+    f, m = probe_factors(probe, n)
+    series, gap = _overlap_power(m, f, theta, order)
+    return np.array(series), gap
 
 
 def closed_lui(probe: str, n: int, theta) -> LuiState:

@@ -3,9 +3,11 @@
 Each one is an independent route to a number the package computes another
 way (partial traces, dense generators, closed forms, the outcome models over
 all 2^N site masks) or the plain loop that a faster kernel must reproduce
-(the full-eigensolve invariance oracles, the per-value scan CSV writer).
+(the full-eigensolve invariance oracles, the per-value scan CSV writer, the
+per-probe closed-form class sums and gap).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -105,6 +107,69 @@ def cfi_gst_from_overlap(s, gap, ds, dds):
     """Information of the global swap test from s, its stable 1 - s, s' and
     s'', elementwise over arrays of angles; a scalar for scalar input."""
     return fisher_from_weight_classes(gst_families([s, ds, dds], gap))[()]
+
+
+# -- the closed probes written out per probe, the oracle of the one
+# class-factor description in `twirl`
+
+
+@functools.cache
+def _kernel_powers(n: int, kernel: tuple) -> tuple:
+    """2K and its row sums for the flattened 2x2 `kernel`, the exponents
+    p = n - w and q = w of the class weights, and the GHZ families' A_w and
+    B_w, built once per (n, kernel), read-only."""
+    k2 = 2.0 * np.reshape(kernel, (2, 2))
+    q = np.arange(n + 1)
+    p, row_sums = n - q, k2.sum(axis=1)
+    b = k2[0, 1] ** p * k2[1, 1] ** q
+    a = 0.5 * (row_sums[0] ** p * row_sums[1] ** q + k2[0, 0] ** p * k2[1, 0] ** q - b)
+    for table in (k2, row_sums, p, q, a, b):
+        table.flags.writeable = False
+    return k2, row_sums, p, q, a, b
+
+
+def closed_families(probe: str, n: int, theta, kernel=SWAP_TEST_KERNEL,
+                    order: int = 2) -> np.ndarray:
+    """Class sums den, num, sec by class weight, one branch per probe.
+    Product probe: den_w = a^(n - w) b^w, a = 2 K00 sin^2 + 2 (K00 + K01) cos^2
+    and b the same from row 1, num and sec by the product rule.  GHZ:
+    den_w = A_w sin^2(n theta) + (A_w + B_w) cos^2(n theta), num_w = B_w s',
+    sec_w = B_w s''."""
+    t = np.asarray(theta, dtype=float)[..., None]
+    t = np.where(np.abs(t) < np.sqrt(np.finfo(float).tiny), 0.0, t)
+    k2, row_sums, p, q, a, b = _kernel_powers(
+        n, tuple(np.asarray(kernel, dtype=float).ravel().tolist()))
+    if probe == "ghz":
+        nt = n * t
+        den = a * np.sin(nt) ** 2 + (a + b) * np.cos(nt) ** 2
+        if order == 0:
+            return den[None]
+        return np.stack([den, -n * np.sin(2.0 * nt) * b,
+                         -2.0 * n * n * np.cos(2.0 * nt) * b])[:order + 1]
+    sin2, cos2 = np.sin(t) ** 2, np.cos(t) ** 2
+    a, b = (k2[i, 0] * sin2 + row_sums[i] * cos2 for i in (0, 1))
+    if order == 0:
+        return (a ** p * b ** q)[None]
+    da, db = k2[:, 1]
+    dx, ddx = -np.sin(2.0 * t), -2.0 * np.cos(2.0 * t)
+
+    def term(k, j):
+        return a ** np.maximum(p - k, 0) * b ** np.maximum(q - j, 0)
+
+    first = da * p * term(1, 0) + db * q * term(0, 1)
+    second = (da * da * p * (p - 1) * term(2, 0) + 2 * da * db * p * q * term(1, 1)
+              + db * db * q * (q - 1) * term(0, 2))
+    return np.stack([term(0, 0), dx * first, dx * dx * second + ddx * first])[:order + 1]
+
+
+def closed_gap(probe: str, n: int, theta) -> np.ndarray:
+    """1 - s of the full-swap overlap, one branch per probe: sin^2(n theta),
+    or -expm1(n log1p(-sin^2 theta))."""
+    t = np.asarray(theta, dtype=float)
+    if probe == "ghz":
+        return np.sin(n * t) ** 2
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n * np.log1p(-np.sin(t) ** 2))
 
 
 def scan_csv_text(strategies, table: np.ndarray) -> str:

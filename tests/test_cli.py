@@ -249,6 +249,16 @@ class TestScan:
         assert "as must their difference and 2 * sites * theta" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("sites, theta", [("64", "1e307"), ("1", "-1.7e308")])
+    def test_overflowing_true_theta_rejected(self, tmp_path, capsys, sites, theta):
+        # estimate shares the check: 2 N theta overflowed into an OverflowError
+        # traceback (exit 1) from the search window
+        code = main(["estimate", "--sites", sites, f"--true-theta={theta}", "--shots", "10",
+                     "--reps", "2", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "as must 2 * sites * theta" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_degenerate_grid_rejected(self, tmp_path):
         code = main(["scan", "--theta-min", "0.0", "--theta-max", "0.0",
                      "--theta-points", "2", "--out", str(tmp_path / "x.csv")])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,22 @@ class TestClosedForms:
     def test_ghz_values(self):
         assert np.isclose(qfi_ghz_closed(2, 0.0), 8.0)
         assert np.isclose(qfi_ghz_closed(2, 0.3), 7.049, atol=5e-4)
+
+    def test_ghz_scaled_form_matches_the_written_out_one(self):
+        # scaling by 2^(1-N) is exact: bit for bit where 2^(N-1) is a float
+        grid = np.concatenate([np.linspace(-np.pi, np.pi, 2001), [1e-9, 1e-170, -1e-3, 7.0]])
+        for n in range(1, 65):
+            s, c = np.sin(n * grid) ** 2, np.cos(n * grid) ** 2
+            want = 2.0 * n * n * (1.0 - s / (c + 2.0 ** (n - 1)))
+            assert np.array_equal(qfi_ghz_closed(n, grid), want), n
+
+    @pytest.mark.parametrize("n", [1025, 2000, 10_000])
+    def test_ghz_beyond_the_float_powers_of_two(self, n):
+        # 2.0 ** (n - 1) raised OverflowError from N = 1025; the sum is 2 N^2 to rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qfi_ghz_closed(n, np.array([0.0, 0.1, 1.0, np.pi / (2 * n)]))
+        assert np.all(got == 2.0 * n * n)
 
     def test_ghz_minimum_at_quarter_period(self):
         for n in (2, 3, 4):

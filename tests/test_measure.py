@@ -32,9 +32,9 @@ from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, prod
 from framefree.tensor import QuditLayout, popcounts
 from framefree.twirl import (
     closed_families,
-    closed_gap,
     closed_lui,
     closed_overlaps,
+    closed_swap,
     ghz_lui,
     global_overlap_series,
     lui_coefficients,
@@ -389,7 +389,7 @@ class TestStrategyOrdering:
             assert ghz_dm(n, theta) <= ceiling
             assert cfi_grm_from_overlap(s, ds, n) <= ceiling
             dds = -2.0 * n * n * math.cos(2 * n * theta)
-            assert cfi_gst_from_overlap(s, closed_gap("ghz", n, theta), ds, dds) <= ceiling
+            assert cfi_gst_from_overlap(s, closed_swap("ghz", n, theta)[1], ds, dds) <= ceiling
             c, dc, ddc = closed_overlaps("ghz", n, theta)[:, popcounts(n)]
             assert fisher_from_coefficients(c, dc, ddc) <= ceiling
 
@@ -429,7 +429,7 @@ class TestReadoutInformation:
                 "lst": (cfi(LST, series, 2), swap),
                 "lbm": (cfi(LBM, series, 2), swap),
                 "spectrum": (qfi_from_spectrum(series, 2), swap),
-                "gst": (cfi_gst_from_overlap(s, closed_gap(probe, n, theta), ds, dds),
+                "gst": (cfi_gst_from_overlap(s, closed_swap(probe, n, theta)[1], ds, dds),
                         mp_class_information(mp, probe, n, theta)),
             }
             for readout, (value, want) in got.items():
@@ -438,7 +438,7 @@ class TestReadoutInformation:
 
 def weight_model(readout, probe, n):
     """The outcome model that `estimate` samples: the weight classes' den."""
-    return lambda t: weight_class_distribution(_closed_families(readout, probe, n, t, 0)[0])
+    return lambda t: weight_class_distribution(_closed_families(readout, probe, n)(t, 0)[0])
 
 
 MASK_MODELS = {DM: probs_dm, LST: probs_lst, LBM: probs_lbm, "gst": probs_gst}

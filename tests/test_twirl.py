@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from framefree.fisher import lui_spectrum
-from framefree.measure import DM, readout_kernel
+from framefree.measure import DM, LST, readout_kernel
 from framefree.states import IE, RE, HamiltonianSpec, ghz_state, make_pair, product_plus_state
 from framefree.tensor import (
     WALSH_KERNEL,
@@ -20,8 +20,8 @@ from framefree.twirl import (
     LuiState,
     _lui_matrix,
     closed_families,
-    closed_gap,
     closed_overlaps,
+    closed_swap,
     g_twirl_apply,
     ghz_lui,
     global_overlap_series,
@@ -36,6 +36,7 @@ from framefree.twirl import (
 )
 from framefree.verify import lui_state_checks
 
+import reference
 from reference import dense_matrix, hamming, partial_trace, ptrace_matrix
 from conftest import random_hermitian, random_state
 
@@ -214,11 +215,17 @@ class TestClosedOverlaps:
         angles = np.concatenate([[0.0, np.pi / 2], np.arange(n + 1) * np.pi / (2 * n), seeded])
         closed = closed_overlaps(probe, n, angles)
         assert closed.shape == (3, angles.size, n + 1)
+        # the full-mask reader: s, s', s'' and 1 - s
+        series, gap = closed_swap(probe, n, angles)
+        assert series.shape == (3, angles.size) and gap.shape == angles.shape
         for order in (0, 1):
             assert np.array_equal(closed_overlaps(probe, n, angles, order), closed[:order + 1])
+            assert np.array_equal(closed_swap(probe, n, angles, order)[0], series[:order + 1])
         for i, theta in enumerate(angles):
             numeric = swap_overlaps(z_sum_pair(psi, theta))
             assert np.allclose(closed[:, i, popcounts(n)], numeric, rtol=0, atol=1e-11 * n * n)
+            assert np.allclose(series[:, i], numeric[:, -1], rtol=0, atol=1e-11 * n * n)
+            assert abs(gap[i] - (1.0 - numeric[0, -1])) <= 1e-11
 
 
 class TestClosedFamilies:
@@ -249,26 +256,55 @@ class TestClosedFamilies:
 
     @pytest.mark.parametrize("probe", ["ghz", "product"])
     def test_subnormal_angles_take_the_zero_angle_value(self, probe):
-        # below sqrt(tiny) sin^2 is subnormal; the families are those at 0
-        at_zero = closed_families(probe, 64, 0.0)
-        for theta in (1e-160, 1e-170, -1e-200):
-            assert np.array_equal(closed_families(probe, 64, theta), at_zero)
+        # below sqrt(tiny) sin^2 is subnormal; every closed form takes its value at 0
+        for closed in (closed_families, closed_overlaps,
+                       lambda *args: np.hstack(closed_swap(*args))):
+            at_zero = closed(probe, 64, 0.0)
+            for theta in (1e-160, 1e-170, -1e-200):
+                assert np.array_equal(closed(probe, 64, theta), at_zero)
+
+    @pytest.mark.parametrize("probe", ["ghz", "product"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10, 13, 32, 64])
+    def test_match_the_per_probe_reference(self, probe, n):
+        # the one class-factor body gives the per-probe forms bit for bit, at
+        # 0, below sqrt(tiny), every k pi/(2N), negative and seeded angles
+        seeded = np.random.default_rng([n, 7]).uniform(-np.pi, np.pi, 40)
+        angles = np.concatenate([[0.0, 1e-170, -1e-170, -0.3],
+                                 np.arange(-2, 2 * n + 1) * np.pi / (2 * n), seeded])
+        for kernel in (readout_kernel(LST, 2), readout_kernel(DM, 2)):
+            for order in (0, 1, 2):
+                want = reference.closed_families(probe, n, angles, kernel, order)
+                assert np.array_equal(closed_families(probe, n, angles, kernel, order), want)
+            assert np.array_equal(closed_families(probe, n, 0.3, kernel),
+                                  reference.closed_families(probe, n, 0.3, kernel))
+        # one site of the product probe is GHZ on one site, whose gap is sin^2
+        want = reference.closed_gap("ghz" if n == 1 else probe, n, angles)
+        assert np.array_equal(closed_swap(probe, n, angles)[1], want)
 
 
 class TestClosedGap:
     @pytest.mark.parametrize("probe", ["ghz", "product"])
     def test_matches_mpmath(self, probe):
         # 1 - s to full relative precision near theta = 0, where forming it
-        # from the rounded s loses digits
+        # from the rounded s loses digits; s, s' and s'' as well
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         angles = np.concatenate([np.linspace(0.0, 0.05, 101)[1:], [1e-9, 1e-6, 3e-4]])
         for n in range(1, 11):
-            got = closed_gap(probe, n, angles)
-            for theta, value in zip(angles, got):
+            series, got = closed_swap(probe, n, angles)
+            for i, (theta, value) in enumerate(zip(angles, got)):
                 t = mp.mpf(theta)
-                s = mp.cos(n * t) ** 2 if probe == "ghz" else mp.cos(t) ** (2 * n)
+                if probe == "ghz":
+                    s = mp.cos(n * t) ** 2
+                    want = [s, -n * mp.sin(2 * n * t), -2 * n * n * mp.cos(2 * n * t)]
+                else:
+                    c, sn = mp.cos(t), mp.sin(t)
+                    s = c ** (2 * n)
+                    want = [s, -2 * n * c ** (2 * n - 1) * sn,
+                            2 * n * (2 * n - 1) * c ** (2 * n - 2) * sn ** 2 - 2 * n * s]
                 assert abs(value - (1 - s)) <= 1e-14 * (1 - s), (n, theta)
+                for k in range(3):
+                    assert abs(series[k, i] - want[k]) <= 1e-14 * abs(want[k]), (n, theta, k)
 
 
 class TestLuiDensity:
